@@ -2,11 +2,9 @@
 status-update systems."""
 
 from .analysis import (
-    DenseSystem,
     avg_aoc_ms,
     fdma_avg_aoc_rounds,
     fdma_gamma,
-    solve_dense,
     tdma_nr_avg_aoc_slots,
     tdma_nr_moments,
     tdma_r_avg_aoc_slots,
@@ -47,7 +45,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AocTrace",
-    "DenseSystem",
     "HittingMoments",
     "MODES",
     "PerTable",
@@ -76,7 +73,6 @@ __all__ = [
     "simulate",
     "simulate_ms",
     "single_point_table",
-    "solve_dense",
     "status_duration_ms",
     "tdma_nr_avg_aoc_slots",
     "tdma_nr_moments",

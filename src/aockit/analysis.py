@@ -8,25 +8,29 @@ is
 
     avg = E[A] + E[D^2] / (2 E[D])            [slots or rounds]
 
-so everything reduces to the first two hitting-time moments of the chain.
-The moments come from small dense linear systems (or explicit suffix sums
-where the chain is skip-free), solved with a scaled-partial-pivot LU
-elimination that is factored once and shared between the first- and
-second-moment right-hand sides.
+so everything reduces to the first two hitting-time moments of the chain,
+and each chain has them in closed form; no linear system is solved:
+
+* TDMA-R is skip-free to the right, so its moments are suffix sums.
+* TDMA-NR restarts at device 1 after any failure, so the time to a full
+  collection is a run of N successes with position-dependent odds
+  (Feller, Vol. I, XIII.7).  Its moments come from O(N) backward passes
+  that add only positive terms.
+* FDMA completes a round with probability gamma = prod(1 - p_i), so its
+  inter-collection time is geometric.
+
+The products prod(1 - p_i) are carried as a mantissa and a binary
+exponent, so they never underflow.  An average that does not fit in a
+float64 raises ValueError naming the scheme and N.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-import numpy as np
 
 from .domain import HittingMoments, PerVector, SchemeKind, TimingModel
 
 __all__ = [
-    "DenseSystem",
-    "solve_dense",
     "tdma_nr_moments",
     "tdma_nr_avg_aoc_slots",
     "tdma_r_moments",
@@ -36,129 +40,101 @@ __all__ = [
     "avg_aoc_ms",
 ]
 
-# scaled pivots below this are treated as exact zeros
-_PIVOT_TOL = 1e-12
-# residual guard on every solve, relative to max(1, |rhs|_inf)
-_RESIDUAL_TOL = 1e-9
+# survival products are renormalised below this; 1 - p >= 2**-53 for any
+# p < 1, so the running mantissa stays far above the subnormal range
+_RESCALE = 2.0 ** -512
 
 
-@dataclass(frozen=True)
-class DenseSystem:
-    """One dense linear system: matrix and right-hand side together."""
+def _survival(probs) -> tuple[float, int]:
+    """prod(1 - p_i) as (m, e) with value m * 2**e.
 
-    matrix: np.ndarray
-    rhs: np.ndarray
-
-    def __post_init__(self):
-        matrix = np.array(self.matrix, dtype=float)
-        rhs = np.array(self.rhs, dtype=float)
-        matrix.setflags(write=False)
-        rhs.setflags(write=False)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "rhs", rhs)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise ValueError(f"matrix must be square, got shape {matrix.shape}")
-        if rhs.shape != (matrix.shape[0],):
-            raise ValueError(
-                f"rhs shape {rhs.shape} does not match matrix of order {matrix.shape[0]}"
-            )
-        if not (np.all(np.isfinite(matrix)) and np.all(np.isfinite(rhs))):
-            raise ValueError("system entries must be finite")
-
-
-class _LuFactors:
-    """P A = L U with row-scaled partial pivoting; factor once, solve many."""
-
-    def __init__(self, a: np.ndarray):
-        n = a.shape[0]
-        lu = a.astype(float, copy=True)
-        perm = np.arange(n)
-        scale = np.max(np.abs(a), axis=1)
-        if np.any(scale == 0.0):
-            raise ValueError("singular system")
-        for k in range(n):
-            # pivot row: largest entry relative to its own row scale
-            col = np.abs(lu[k:, k]) / scale[perm[k:]]
-            j = k + int(np.argmax(col))
-            if col[j - k] < _PIVOT_TOL:
-                raise ValueError("singular system")
-            if j != k:
-                lu[[k, j]] = lu[[j, k]]
-                perm[[k, j]] = perm[[j, k]]
-            pivot = lu[k, k]
-            for i in range(k + 1, n):
-                m = lu[i, k] / pivot
-                lu[i, k] = m
-                if m != 0.0:
-                    lu[i, k + 1:] -= m * lu[k, k + 1:]
-        self.a = a
-        self.lu = lu
-        self.perm = perm
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        n = self.lu.shape[0]
-        x = rhs[self.perm].astype(float, copy=True)
-        for i in range(1, n):              # forward, unit lower triangle
-            x[i] -= self.lu[i, :i] @ x[:i]
-        for i in range(n - 1, -1, -1):     # backward
-            if i + 1 < n:
-                x[i] -= self.lu[i, i + 1:] @ x[i + 1:]
-            x[i] /= self.lu[i, i]
-        resid = float(np.max(np.abs(self.a @ x - rhs)))
-        bound = _RESIDUAL_TOL * max(1.0, float(np.max(np.abs(rhs))))
-        if not math.isfinite(resid) or resid > bound:
-            raise ValueError(
-                f"solve residual {resid:.3e} exceeds tolerance {bound:.3e}"
-            )
-        return x
-
-
-def solve_dense(system: DenseSystem) -> np.ndarray:
-    """Solve system.matrix @ x = system.rhs by LU elimination with scaled
-    partial pivoting.
-
-    The residual max-norm is checked against 1e-9 * max(1, |rhs|_inf); a
-    scaled pivot below 1e-12 raises "singular system".
+    The product is taken in order and rescaled by exact powers of two, so
+    m * 2**e equals the plain float product whenever that product is normal.
     """
-    return _LuFactors(system.matrix).solve(system.rhs)
+    m, e = 1.0, 0
+    for pi in probs:
+        m *= 1.0 - pi
+        if m < _RESCALE:
+            m, k = math.frexp(m)
+            e += k
+    return m, e
+
+
+def _over(x: float, m: float, e: int) -> float:
+    """x / (m * 2**e), or inf when the quotient exceeds float range."""
+    try:
+        return math.ldexp(x / m, -e)
+    except OverflowError:
+        return math.inf
+
+
+def _in_range(value: float, scheme: SchemeKind, n: int) -> float:
+    if not math.isfinite(value):
+        raise ValueError(
+            f"{scheme.token}: average AoC exceeds float range (N = {n})"
+        )
+    return value
+
+
+def _tdma_nr_passes(probs):
+    """Backward passes over s_i = 1 - p_i for the TDMA-NR chain.
+
+    Returns lists a, r (with a trailing 0.0 for state N + 1) and scalars
+    u, v such that, with Q = prod(1 - p_i),
+
+        T_i = a_i + r_i T_1,    T_1 = a_1 / Q,
+        E[T_1^2] = (u + v T_1) / Q.
+    """
+    n = len(probs)
+    a = [0.0] * (n + 1)
+    r = [0.0] * (n + 1)
+    u = v = 0.0
+    for i in range(n - 1, -1, -1):
+        pi = probs[i]
+        si = 1.0 - pi
+        u = 1.0 + 2.0 * si * a[i + 1] + si * u
+        a[i] = 1.0 + si * a[i + 1]
+        r[i] = pi + si * r[i + 1]
+        v = 2.0 * r[i] + si * v
+    return a, r, u, v
 
 
 def tdma_nr_moments(p: PerVector) -> HittingMoments:
     """Hitting-time moments for TDMA without retransmissions.
 
-    From state i the slot succeeds with probability 1 - p_i and moves to
-    state i + 1 (past state N is absorption); any failure restarts the
-    round at state 1 with fresh packets.  The first moments solve
+    From state i the slot succeeds with probability s_i = 1 - p_i and moves
+    to state i + 1 (past state N is absorption); any failure restarts the
+    round at state 1 with fresh packets, so
 
-        T_i = 1 + p_i T_1 + (1 - p_i) T_{i+1},    T_{N+1} = 0
+        T_i = 1 + p_i T_1 + s_i T_{i+1},    T_{N+1} = 0.
 
-    i.e. row i of M carries -p_i on column 1, +1 on column i and
-    -(1 - p_i) on column i + 1, against a right-hand side of ones.  The
-    second moments solve the same M against
+    Substituting T_i = A_i + R_i T_1 splits this into two recursions over
+    positive terms, solved backwards from A_{N+1} = R_{N+1} = 0:
 
-        r_i = 1 + 2 p_i T_1 + 2 (1 - p_i) T_{i+1}
+        A_i = 1 + s_i A_{i+1},    R_i = p_i + s_i R_{i+1} = 1 - Q_i,
 
-    so the factorization is shared between the two solves.
+    with Q_i = s_i...s_N.  At i = 1 this gives T_1 = A_1 / Q_1.  The second
+    moments satisfy the same recursion with right-hand side
+
+        r_i = 1 + 2 (p_i T_1 + s_i T_{i+1})
+            = 1 + 2 s_i A_{i+1} + 2 R_i T_1,
+
+    so the same pass gives E[T_1^2] = (U_1 + V_1 T_1) / Q_1, where
+    U_i = 1 + 2 s_i A_{i+1} + s_i U_{i+1} and V_i = 2 R_i + s_i V_{i+1}.
+    Raises ValueError when the moments exceed float range.
     """
-    probs = p.as_array()
-    n = p.n
-    m = np.zeros((n, n))
-    for i in range(n):
-        m[i, i] += 1.0
-        m[i, 0] -= probs[i]
-        if i + 1 < n:
-            m[i, i + 1] -= 1.0 - probs[i]
-    factors = _LuFactors(m)
-    first = factors.solve(np.ones(n))
-    t_next = np.append(first[1:], 0.0)
-    rhs2 = 1.0 + 2.0 * probs * first[0] + 2.0 * (1.0 - probs) * t_next
-    second = factors.solve(rhs2)
-    t2s = float(first[1]) if n >= 2 else 0.0
-    return HittingMoments(
-        first=tuple(float(v) for v in first),
-        second_t1=float(second[0]),
-        t2s=t2s,
-    )
+    probs = p.probs
+    a, r, u, v = _tdma_nr_passes(probs)
+    m, e = _survival(probs)
+    t1 = _over(a[0], m, e)
+    second_t1 = _over(u + v * t1, m, e)
+    if not math.isfinite(second_t1):
+        raise ValueError(
+            f"tdma-nr: hitting-time moments exceed float range (N = {p.n})"
+        )
+    first = tuple(ai + ri * t1 for ai, ri in zip(a[:-1], r))
+    t2s = first[1] if p.n >= 2 else 0.0
+    return HittingMoments(first=first, second_t1=second_t1, t2s=t2s)
 
 
 def tdma_nr_avg_aoc_slots(p: PerVector) -> float:
@@ -167,13 +143,20 @@ def tdma_nr_avg_aoc_slots(p: PerVector) -> float:
     Every delivered set was generated at the start of its successful round,
     N slots before completion, so the reset age is exactly N and
 
-        avg = N + E[T_1^2] / (2 E[T_1]).
+        avg = N + E[T_1^2] / (2 E[T_1])
+            = N + U_1 / (2 A_1) + V_1 / (2 Q_1)
+
+    in the notation of tdma_nr_moments.  The second form divides by Q_1
+    once, so it is finite whenever the average fits in a float64; beyond
+    that it raises ValueError.
     """
-    mom = tdma_nr_moments(p)
-    return p.n + mom.second_t1 / (2.0 * mom.first[0])
+    a, _, u, v = _tdma_nr_passes(p.probs)
+    m, e = _survival(p.probs)
+    avg = p.n + u / (2.0 * a[0]) + _over(0.5 * v, m, e)
+    return _in_range(avg, SchemeKind.TDMA_NR, p.n)
 
 
-def tdma_r_moments(p: PerVector, cross_check: bool = False) -> HittingMoments:
+def tdma_r_moments(p: PerVector) -> HittingMoments:
     """Hitting-time moments for TDMA with retransmissions.
 
     A failed slot at state i >= 2 repeats state i (same packet); a failure
@@ -191,8 +174,7 @@ def tdma_r_moments(p: PerVector, cross_check: bool = False) -> HittingMoments:
 
     The expanded form is evaluated with math.fsum, which returns the
     correctly rounded exact sum, so the moments are bit-identical under
-    any reordering of devices 2..N.  cross_check=True verifies the closed
-    forms against a dense solve of the chain's own linear equations.
+    any reordering of devices 2..N.
     """
     probs = p.probs
     n = p.n
@@ -207,39 +189,7 @@ def tdma_r_moments(p: PerVector, cross_check: bool = False) -> HittingMoments:
         + math.fsum(x * x for x in tail)
     )
     t2s = first[1] if n >= 2 else 0.0
-    if cross_check:
-        _tdma_r_check(probs, first, second_t1)
     return HittingMoments(first=first, second_t1=second_t1, t2s=t2s)
-
-
-def _tdma_r_check(probs, first, second_t1) -> None:
-    # independent route: solve the chain equations
-    #   (1 - p_i) T_i - (1 - p_i) T_{i+1} = 1
-    # for both moments and compare with the explicit sums
-    n = len(probs)
-    parr = np.asarray(probs, dtype=float)
-    m = np.zeros((n, n))
-    for i in range(n):
-        m[i, i] = 1.0 - parr[i]
-        if i + 1 < n:
-            m[i, i + 1] = -(1.0 - parr[i])
-    factors = _LuFactors(m)
-    ref_first = factors.solve(np.ones(n))
-    t_next = np.append(ref_first[1:], 0.0)
-    # rearranged from S_i = 1 + 2(p_i T_i + (1-p_i) T_{i+1}) + p_i S_i + ...
-    rhs2 = 1.0 + 2.0 * parr * ref_first + 2.0 * (1.0 - parr) * t_next
-    ref_second = factors.solve(rhs2)
-    for got, ref in zip(first, ref_first):
-        if abs(got - ref) > 1e-9 * max(1.0, abs(ref)):
-            raise AssertionError(
-                f"closed-form first moments {first} disagree with chain solve "
-                f"{ref_first}"
-            )
-    if abs(ref_second[0] - second_t1) > 1e-9 * max(1.0, abs(second_t1)):
-        raise AssertionError(
-            f"closed-form second moment {second_t1} disagrees with chain "
-            f"solve {ref_second[0]}"
-        )
 
 
 def tdma_r_avg_aoc_slots(p: PerVector) -> float:
@@ -256,11 +206,12 @@ def tdma_r_avg_aoc_slots(p: PerVector) -> float:
 
 
 def fdma_gamma(p: PerVector) -> float:
-    """Probability that one FDMA round delivers every packet."""
-    gamma = 1.0
-    for pi in p.probs:
-        gamma *= 1.0 - pi
-    return gamma
+    """Probability that one FDMA round delivers every packet.
+
+    Rounds to 0.0 only when the probability is below the float range.
+    """
+    m, e = _survival(p.probs)
+    return math.ldexp(m, e)
 
 
 def fdma_avg_aoc_rounds(p: PerVector) -> float:
@@ -273,19 +224,23 @@ def fdma_avg_aoc_rounds(p: PerVector) -> float:
     one round:
 
         avg = 1 + (2 - gamma) / (2 gamma).
+
+    Raises ValueError when 1/gamma exceeds float range.
     """
-    gamma = fdma_gamma(p)
-    if gamma <= 0.0:
-        raise ValueError("unreachable success state")
-    return 1.0 + (2.0 - gamma) / (2.0 * gamma)
+    m, e = _survival(p.probs)
+    gamma = math.ldexp(m, e)
+    avg = 1.0 + _over(2.0 - gamma, 2.0 * m, e)
+    return _in_range(avg, SchemeKind.FDMA, p.n)
 
 
 def avg_aoc_ms(scheme: SchemeKind, p: PerVector, timing: TimingModel) -> float:
     """Average AoC in milliseconds under the given slot/round durations."""
     if scheme is SchemeKind.TDMA_NR:
-        return tdma_nr_avg_aoc_slots(p) * timing.tdma_slot_ms
-    if scheme is SchemeKind.TDMA_R:
-        return tdma_r_avg_aoc_slots(p) * timing.tdma_slot_ms
-    if scheme is SchemeKind.FDMA:
-        return fdma_avg_aoc_rounds(p) * timing.fdma_round_ms
-    raise ValueError(f"unknown scheme {scheme!r}")
+        avg = tdma_nr_avg_aoc_slots(p) * timing.tdma_slot_ms
+    elif scheme is SchemeKind.TDMA_R:
+        avg = tdma_r_avg_aoc_slots(p) * timing.tdma_slot_ms
+    elif scheme is SchemeKind.FDMA:
+        avg = fdma_avg_aoc_rounds(p) * timing.fdma_round_ms
+    else:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    return _in_range(avg, scheme, p.n)

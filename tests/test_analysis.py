@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aockit.analysis import (
-    DenseSystem,
     avg_aoc_ms,
     fdma_avg_aoc_rounds,
     fdma_gamma,
-    solve_dense,
     tdma_nr_avg_aoc_slots,
     tdma_nr_moments,
     tdma_r_avg_aoc_slots,
@@ -24,51 +24,63 @@ def _random_per(rng, n_max=8, p_max=0.9):
     return make_per_vector(rng.uniform(0.0, p_max, size=n))
 
 
-class TestSolveDense:
-    def test_identity(self):
-        x = solve_dense(DenseSystem(np.eye(2), np.array([3.0, 7.0])))
-        assert x == pytest.approx([3.0, 7.0], rel=REL)
+def _chain_reference(scheme, probs):
+    """(T_1..T_N, E[T_1^2], average) of a TDMA chain by numpy.linalg.solve.
 
-    def test_diagonal(self):
-        x = solve_dense(DenseSystem(np.diag([2.0, 4.0]), np.array([2.0, 8.0])))
-        assert x == pytest.approx([1.0, 2.0], rel=REL)
+    From state i a slot succeeds with probability 1 - p_i and moves on to
+    i + 1; a failure moves to state 1 (TDMA-NR) or stays at i (TDMA-R).
+    The first moments solve T_i = 1 + p_i T_fail + (1 - p_i) T_{i+1} and
+    the second moments the same matrix against 1 + 2 E[T_next].
+    """
+    p = np.asarray(probs, dtype=float)
+    n = p.size
+    fail = [0] * n if scheme is SchemeKind.TDMA_NR else list(range(n))
+    m = np.eye(n)
+    for i in range(n):
+        m[i, fail[i]] -= p[i]
+        if i + 1 < n:
+            m[i, i + 1] -= 1.0 - p[i]
+    t = np.linalg.solve(m, np.ones(n))
+    t_next = np.append(t[1:], 0.0)
+    s = np.linalg.solve(m, 1.0 + 2.0 * (p * t[fail] + (1.0 - p) * t_next))
+    reset = n if scheme is SchemeKind.TDMA_NR else 1.0 + (t[1] if n >= 2 else 0.0)
+    return t, s[0], reset + s[0] / (2.0 * t[0])
+
+
+_CLOSED_FORMS = {
+    SchemeKind.TDMA_NR: (tdma_nr_moments, tdma_nr_avg_aoc_slots),
+    SchemeKind.TDMA_R: (tdma_r_moments, tdma_r_avg_aoc_slots),
+}
+
+
+def _assert_matches_reference(scheme, probs, rel=1e-10):
+    moments, average = _CLOSED_FORMS[scheme]
+    p = make_per_vector(probs)
+    t, second, avg = _chain_reference(scheme, p.probs)
+    m = moments(p)
+    assert m.first == pytest.approx(tuple(t), rel=rel)
+    assert m.second_t1 == pytest.approx(second, rel=rel)
+    assert average(p) == pytest.approx(avg, rel=rel)
+
+
+class TestSolveDense:
+    """The closed forms against a dense solve of each chain's equations."""
 
     def test_nr_first_moment_system(self):
-        a = np.array([[0.5, -0.5], [-0.5, 1.0]])
-        x = solve_dense(DenseSystem(a, np.array([1.0, 1.0])))
-        assert x == pytest.approx([6.0, 4.0], rel=REL)
-        assert a @ x == pytest.approx([1.0, 1.0], abs=1e-12)
+        t, second, _ = _chain_reference(SchemeKind.TDMA_NR, (0.5, 0.5))
+        assert t == pytest.approx([6.0, 4.0], rel=REL)
+        assert second == pytest.approx(58.0, rel=REL)
+        _assert_matches_reference(SchemeKind.TDMA_NR, (0.5, 0.5), rel=REL)
 
-    def test_pivoting_handles_zero_leading_entry(self):
-        a = np.array([[0.0, 1.0], [1.0, 0.0]])
-        x = solve_dense(DenseSystem(a, np.array([2.0, 3.0])))
-        assert x == pytest.approx([3.0, 2.0], rel=REL)
+    def test_nr_matches_chain_solve(self):
+        rng = np.random.default_rng(15)
+        for _ in range(300):
+            _assert_matches_reference(SchemeKind.TDMA_NR, _random_per(rng).probs)
 
-    @pytest.mark.parametrize("a", [
-        [[1.0, 1.0], [1.0, 1.0]],
-        [[0.0, 0.0], [1.0, 1.0]],
-        [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [1.0, 0.0, 1.0]],
-    ])
-    def test_singular_matrix(self, a):
-        with pytest.raises(ValueError, match="singular system"):
-            solve_dense(DenseSystem(np.asarray(a), np.ones(len(a))))
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            DenseSystem(np.ones((2, 3)), np.ones(2))
-
-    def test_rejects_rhs_mismatch(self):
-        with pytest.raises(ValueError):
-            DenseSystem(np.eye(3), np.ones(2))
-
-    def test_random_residuals(self):
-        rng = np.random.default_rng(11)
-        for _ in range(100):
-            n = int(rng.integers(1, 9))
-            a = rng.normal(size=(n, n)) + n * np.eye(n)
-            b = rng.normal(size=n)
-            x = solve_dense(DenseSystem(a, b))
-            assert np.max(np.abs(a @ x - b)) <= 1e-9 * max(1.0, np.max(np.abs(b)))
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(0.0, 0.9, exclude_max=True), min_size=1, max_size=8))
+    def test_nr_property(self, probs):
+        _assert_matches_reference(SchemeKind.TDMA_NR, probs)
 
 
 class TestTdmaNrMoments:
@@ -158,8 +170,8 @@ class TestTdmaRMoments:
 
     def test_cross_check_agrees(self):
         rng = np.random.default_rng(15)
-        for _ in range(100):
-            tdma_r_moments(_random_per(rng), cross_check=True)
+        for _ in range(300):
+            _assert_matches_reference(SchemeKind.TDMA_R, _random_per(rng).probs)
 
     def test_permutation_invariance_is_exact(self):
         rng = np.random.default_rng(16)
@@ -200,6 +212,72 @@ class TestFdma:
 
     def test_six_devices(self):
         assert fdma_avg_aoc_rounds(make_per_vector([0.5] * 6)) == pytest.approx(64.5, rel=REL)
+
+    def test_gamma_below_float_range(self):
+        # 2**-1100 underflows a plain product to 0; 1/gamma overflows too
+        p = make_per_vector([0.5] * 1100)
+        assert fdma_gamma(p) == 0.0
+        match = r"fdma: average AoC exceeds float range \(N = 1100\)"
+        with pytest.raises(ValueError, match=match):
+            fdma_avg_aoc_rounds(p)
+
+    def test_subnormal_gamma(self):
+        # gamma = 2**-1023 is subnormal, 1/gamma still fits
+        assert fdma_avg_aoc_rounds(make_per_vector([0.5] * 1023)) == 2.0 ** 1023
+
+
+def _success_run_avg(n, p):
+    """TDMA-NR average for N devices of equal PER p, from the mean
+    (1 - s^N) / g and variance 1/g^2 - (2N + 1)/g - s/p^2 of the wait for
+    N successes in a row, g = p s^N (Feller, Vol. I, XIII.7), rearranged so
+    that no intermediate exceeds the average."""
+    s = 1.0 - p
+    c = 1.0 - s ** n
+    g = p * s ** n
+    return n + ((1.0 + c * c) / (2.0 * g) - (n + 0.5) - s * g / (2.0 * p * p)) / c
+
+
+class TestFloatRange:
+    @pytest.mark.parametrize("n, p, mean", [(64, 0.3, 2.7e10), (128, 0.1, 7.2e6)])
+    def test_nr_long_rounds(self, n, p, mean):
+        # inputs where an absolute residual bound made the dense solve give up
+        per = make_per_vector([p] * n)
+        s = 1.0 - p
+        m = tdma_nr_moments(per)
+        assert m.first[0] == pytest.approx((1.0 - s ** n) / (p * s ** n), rel=REL)
+        assert m.first[0] == pytest.approx(mean, rel=0.02)
+        assert tdma_nr_avg_aoc_slots(per) == pytest.approx(_success_run_avg(n, p), rel=REL)
+
+    @pytest.mark.parametrize("n", [512, 1022])
+    def test_nr_average_fits_where_moments_do_not(self, n):
+        per = make_per_vector([0.5] * n)
+        match = "tdma-nr: hitting-time moments exceed float range"
+        with pytest.raises(ValueError, match=match):
+            tdma_nr_moments(per)
+        assert tdma_nr_avg_aoc_slots(per) == pytest.approx(_success_run_avg(n, 0.5), rel=REL)
+
+    @pytest.mark.parametrize("scheme", list(SchemeKind), ids=lambda k: k.token)
+    @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
+    def test_n1024_finite_or_range_error(self, scheme, p):
+        unit = TimingModel(tdma_slot_ms=1.0, fdma_round_ms=1.0)
+        per = make_per_vector([p] * 1024)
+        if scheme is SchemeKind.TDMA_R or p == 0.1:
+            assert math.isfinite(avg_aoc_ms(scheme, per, unit))
+        else:
+            match = rf"{scheme.token}: average AoC exceeds float range \(N = 1024\)"
+            with pytest.raises(ValueError, match=match):
+                avg_aoc_ms(scheme, per, unit)
+
+    def test_n1024_low_loss_values(self):
+        per = make_per_vector([0.1] * 1024)
+        want = _success_run_avg(1024, 0.1)
+        assert tdma_nr_avg_aoc_slots(per) == pytest.approx(want, rel=REL)
+        assert fdma_avg_aoc_rounds(per) == pytest.approx(0.5 + 0.9 ** -1024, rel=REL)
+
+    def test_ms_conversion_overflow(self):
+        timing = TimingModel(tdma_slot_ms=1e308, fdma_round_ms=1.0)
+        with pytest.raises(ValueError, match="tdma-r: average AoC exceeds float range"):
+            avg_aoc_ms(SchemeKind.TDMA_R, make_per_vector([0.5] * 4), timing)
 
 
 class TestAvgAocMs:

@@ -3,7 +3,10 @@ import sys
 
 import pytest
 
+from aockit.analysis import tdma_nr_avg_aoc_slots
 from aockit.cli import main
+from aockit.domain import make_per_vector
+from aockit.timing import PhyProfile, tdma_slot_ms
 
 TABLE = """snr_db,scheme,device_id,per
 10,tdma,1,0.1
@@ -97,6 +100,16 @@ class TestTheory:
         code, _, err = _run(capsys, ["theory", "--p", "0.1,0.2", "--n", "3"])
         assert code == 2
         assert "--n" in err
+
+    def test_many_devices_long_rounds(self, capsys):
+        probs = [0.5] * 48
+        code, out, err = _run(capsys, ["theory", "--p", ",".join(map(str, probs)),
+                                       "--scheme", "tdma-nr"])
+        assert code == 0 and err == ""
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert len(rows) == 1 and rows[0][1] == "tdma-nr"
+        want = tdma_nr_avg_aoc_slots(make_per_vector(probs)) * tdma_slot_ms(PhyProfile())
+        assert float(rows[0][3]) == pytest.approx(want, rel=1e-5)
 
 
 class TestSimulate:
