@@ -22,8 +22,8 @@ from .sim import SimConfig, simulate_ms
 from .sweep import (
     MODES,
     SweepRow,
-    _fmt,
     default_order_patterns,
+    emit_csv,
     emit_rows,
     load_per_table,
     run_order_study,
@@ -177,20 +177,14 @@ def _cmd_timing(args) -> int:
         num_devices=args.n if args.n is not None else 6,
     )
     split = phy.fdma_split()
-    lines = [
-        "quantity,value_ms",
-        f"status,{_fmt(status_duration_ms(phy))}",
-        f"ack,{_fmt(ack_duration_ms(phy))}",
-        f"tdma_slot,{_fmt(tdma_slot_ms(phy))}",
-        f"fdma_status,{_fmt(status_duration_ms(split))}",
-        f"fdma_round,{_fmt(fdma_round_ms(split))}",
+    records = [
+        ("status", status_duration_ms(phy)),
+        ("ack", ack_duration_ms(phy)),
+        ("tdma_slot", tdma_slot_ms(phy)),
+        ("fdma_status", status_duration_ms(split)),
+        ("fdma_round", fdma_round_ms(split)),
     ]
-    text = "\n".join(lines) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    emit_csv(("quantity", "value_ms"), records, args.out)
     return 0
 
 

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .domain import AocTrace, PerVector, SchemeKind, TimingModel, integrate_trace
 
@@ -30,6 +29,31 @@ RNG_NAME = "PCG64"
 
 _CHUNK = 1 << 16
 _SEED_BITS = 64
+
+# Student-t 97.5% quantiles for 1..19 degrees of freedom: the batch-means
+# CI uses at most 20 batches.  Each entry is the float scipy.stats.t.ppf
+# returns, so half-widths match a scipy-based computation bit for bit.
+_T975 = (
+    12.706204736174694,
+    4.302652729749462,
+    3.1824463052837078,
+    2.7764451051977934,
+    2.5705818356363146,
+    2.4469118511449786,
+    2.364624251592784,
+    2.306004135204166,
+    2.262157162798205,
+    2.228138851986274,
+    2.200985160091639,
+    2.1788128296672284,
+    2.1603686564627913,
+    2.144786687917804,
+    2.131449545559776,
+    2.1199052992212546,
+    2.1098155778333156,
+    2.1009220402410382,
+    2.0930240544083087,
+)
 
 
 @dataclass(frozen=True)
@@ -69,14 +93,6 @@ class SimConfig:
                 )
             if self.scheme is SchemeKind.FDMA:
                 raise ValueError("order applies to TDMA schemes only")
-
-    @property
-    def horizon_slots(self) -> int:
-        return self.horizon
-
-    @property
-    def horizon_rounds(self) -> int:
-        return self.horizon
 
     def effective_per(self) -> PerVector:
         """Error rates in transmission order."""
@@ -151,12 +167,13 @@ def simulate_ms(config: SimConfig, timing: TimingModel) -> SimResult:
     )
 
 
-def _uniforms(rng: np.random.Generator, count: int):
-    # chunked so the pure-Python slot loops iterate plain float lists
+def _uniform_chunks(rng: np.random.Generator, count: int):
+    # yields the count uniforms as float lists of up to _CHUNK each, so the
+    # pure-Python slot loops iterate plain lists, not a per-float generator
     remaining = count
     while remaining > 0:
         m = min(_CHUNK, remaining)
-        yield from rng.random(m).tolist()
+        yield rng.random(m).tolist()
         remaining -= m
 
 
@@ -167,20 +184,21 @@ def _run_tdma_nr(probs, horizon: int, rng) -> tuple[list, list]:
     pos = 0      # device transmitting this slot (0-based)
     start = 0    # slot index at which the current batch was generated
     t = 0
-    for u in _uniforms(rng, horizon):
-        if u < probs[pos]:
-            # decode failure: abort the round, fresh packets next slot
-            pos = 0
-            start = t + 1
-        else:
-            pos += 1
-            if pos == n:
-                # full collection at the end of this slot
-                times.append(float(t + 1))
-                ages.append(float(t + 1 - start))
+    for chunk in _uniform_chunks(rng, horizon):
+        for u in chunk:
+            if u < probs[pos]:
+                # decode failure: abort the round, fresh packets next slot
                 pos = 0
                 start = t + 1
-        t += 1
+            else:
+                pos += 1
+                if pos == n:
+                    # full collection at the end of this slot
+                    times.append(float(t + 1))
+                    ages.append(float(t + 1 - start))
+                    pos = 0
+                    start = t + 1
+            t += 1
     return times, ages
 
 
@@ -191,19 +209,20 @@ def _run_tdma_r(probs, horizon: int, rng) -> tuple[list, list]:
     pos = 0    # device transmitting this slot (0-based)
     gen = 0    # slot index of the batch generation
     t = 0
-    for u in _uniforms(rng, horizon):
-        if pos == 0:
-            # first device (re)generates at the start of its attempt slot,
-            # so a failure here repeats with a fresh batch next slot
-            gen = t
-        if u >= probs[pos]:
-            pos += 1
-            if pos == n:
-                times.append(float(t + 1))
-                ages.append(float(t + 1 - gen))
-                pos = 0
-        # failure at pos >= 1: same device retransmits the same packet
-        t += 1
+    for chunk in _uniform_chunks(rng, horizon):
+        for u in chunk:
+            if pos == 0:
+                # first device (re)generates at the start of its attempt slot,
+                # so a failure here repeats with a fresh batch next slot
+                gen = t
+            if u >= probs[pos]:
+                pos += 1
+                if pos == n:
+                    times.append(float(t + 1))
+                    ages.append(float(t + 1 - gen))
+                    pos = 0
+            # failure at pos >= 1: same device retransmits the same packet
+            t += 1
     return times, ages
 
 
@@ -229,10 +248,10 @@ def _batch_means_ci(trace: AocTrace) -> float:
     The per-interval areas and durations are grouped into 20 (or fewer,
     when there are not enough intervals) contiguous batches; each batch
     contributes the ratio estimate area/duration, and the half-width is
-    the Student-t 97.5% quantile times the standard error of the batch
-    ratios.  Short traces (< 40 events) drop the first batch.  Fewer than
-    two usable batches give an infinite half-width; a deterministic trace
-    gives zero.
+    the Student-t 97.5% quantile (_T975) times the standard error of the
+    batch ratios.  Short traces (< 40 events) drop the first batch.  Fewer
+    than two usable batches give an infinite half-width; a deterministic
+    trace gives zero.
     """
     gaps = np.diff(trace.times)
     n_int = int(gaps.size)
@@ -249,4 +268,4 @@ def _batch_means_ci(trace: AocTrace) -> float:
     s = float(np.std(ratios, ddof=1))
     if s == 0.0:
         return 0.0
-    return float(stats.t.ppf(0.975, m - 1)) * s / math.sqrt(m)
+    return _T975[m - 2] * s / math.sqrt(m)

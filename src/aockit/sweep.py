@@ -31,6 +31,7 @@ __all__ = [
     "run_sweep",
     "run_order_study",
     "default_order_patterns",
+    "emit_csv",
     "emit_rows",
 ]
 
@@ -313,6 +314,27 @@ def _fmt(value: float) -> str:
     )
 
 
+def emit_csv(header, records, dest=None) -> None:
+    """Write a header and records as newline-terminated CSV.
+
+    String fields are written as given; any other field is a number and is
+    written with 6 significant digits in fixed-decimal notation.  dest may
+    be a path, an open text stream, or None for stdout.
+    """
+    lines = [",".join(header)]
+    for record in records:
+        lines.append(",".join(
+            field if isinstance(field, str) else _fmt(field) for field in record
+        ))
+    text = "\n".join(lines) + "\n"
+    if dest is None:
+        sys.stdout.write(text)
+    elif hasattr(dest, "write"):
+        dest.write(text)
+    else:
+        Path(dest).write_text(text, encoding="utf-8")
+
+
 def emit_rows(rows, dest=None) -> None:
     """Write rows as CSV with 6-significant-digit fixed-decimal values.
 
@@ -322,23 +344,17 @@ def emit_rows(rows, dest=None) -> None:
     """
     with_order = any(row.order is not None for row in rows)
     header = _OUT_HEADER + (("order",) if with_order else ())
-    lines = [",".join(header)]
+    records = []
     for row in rows:
         fields = [
-            _fmt(row.snr_db),
+            row.snr_db,
             row.scheme.token,
             row.mode,
-            _fmt(row.avg_aoc_ms),
-            _fmt(row.ci_halfwidth_ms),
+            row.avg_aoc_ms,
+            row.ci_halfwidth_ms,
             str(row.seed),
         ]
         if with_order:
             fields.append("-".join(map(str, row.order)) if row.order else "")
-        lines.append(",".join(fields))
-    text = "\n".join(lines) + "\n"
-    if dest is None:
-        sys.stdout.write(text)
-    elif hasattr(dest, "write"):
-        dest.write(text)
-    else:
-        Path(dest).write_text(text, encoding="utf-8")
+        records.append(fields)
+    emit_csv(header, records, dest)

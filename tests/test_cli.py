@@ -1,5 +1,7 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +16,49 @@ TABLE = """snr_db,scheme,device_id,per
 10,fdma,1,0.15
 10,fdma,2,0.25
 """
+
+# `aockit sweep --p 0.3,0.2,0.1 --seed 7 --horizon H` stdout, recorded with
+# the half-width quantile taken from scipy.stats.t.ppf.  The horizons give
+# 1 usable batch (inf) for both TDMA schemes at 10, 2 batches for every
+# scheme at 13, 5 to 10 at 30 and the full 20 at 5000.
+SWEEP_GOLDEN = {
+    10: (
+        'snr_db,scheme,mode,avg_aoc_ms,ci_halfwidth_ms,seed\n'
+        '0.0,fdma,simulation,0.410667,0.711547,17578680901711760161\n'
+        '0.0,fdma,theory,0.556444,0.0,0\n'
+        '0.0,tdma-nr,simulation,0.624,inf,7718441288640780397\n'
+        '0.0,tdma-nr,theory,0.602101,0.0,0\n'
+        '0.0,tdma-r,simulation,0.52,inf,11454282878471336457\n'
+        '0.0,tdma-r,theory,0.561002,0.0,0\n'
+    ),
+    13: (
+        'snr_db,scheme,mode,avg_aoc_ms,ci_halfwidth_ms,seed\n'
+        '0.0,fdma,simulation,0.734222,2.84619,17578680901711760161\n'
+        '0.0,fdma,theory,0.556444,0.0,0\n'
+        '0.0,tdma-nr,simulation,0.5824,0.660723,7718441288640780397\n'
+        '0.0,tdma-nr,theory,0.602101,0.0,0\n'
+        '0.0,tdma-r,simulation,0.548889,0.330361,11454282878471336457\n'
+        '0.0,tdma-r,theory,0.561002,0.0,0\n'
+    ),
+    30: (
+        'snr_db,scheme,mode,avg_aoc_ms,ci_halfwidth_ms,seed\n'
+        '0.0,fdma,simulation,0.616,0.131108,17578680901711760161\n'
+        '0.0,fdma,theory,0.556444,0.0,0\n'
+        '0.0,tdma-nr,simulation,0.54288,0.0540202,7718441288640780397\n'
+        '0.0,tdma-nr,theory,0.602101,0.0,0\n'
+        '0.0,tdma-r,simulation,0.552741,0.0827605,11454282878471336457\n'
+        '0.0,tdma-r,theory,0.561002,0.0,0\n'
+    ),
+    5000: (
+        'snr_db,scheme,mode,avg_aoc_ms,ci_halfwidth_ms,seed\n'
+        '0.0,fdma,simulation,0.55731,0.0149685,17578680901711760161\n'
+        '0.0,fdma,theory,0.556444,0.0,0\n'
+        '0.0,tdma-nr,simulation,0.605841,0.014815,7718441288640780397\n'
+        '0.0,tdma-nr,theory,0.602101,0.0,0\n'
+        '0.0,tdma-r,simulation,0.558011,0.00681223,11454282878471336457\n'
+        '0.0,tdma-r,theory,0.561002,0.0,0\n'
+    ),
+}
 
 
 def _run(capsys, argv):
@@ -168,6 +213,13 @@ class TestSweep:
         assert code == 2
         assert "per out of range [0,1) at line 2" in err
 
+    @pytest.mark.parametrize("horizon", sorted(SWEEP_GOLDEN))
+    def test_golden_output(self, horizon, capsys):
+        code, out, err = _run(capsys, ["sweep", "--p", "0.3,0.2,0.1", "--seed", "7",
+                                       "--horizon", str(horizon)])
+        assert code == 0 and err == ""
+        assert out == SWEEP_GOLDEN[horizon]
+
     def test_missing_table_file(self, tmp_path, capsys):
         code, _, err = _run(capsys, ["sweep", "--per-table",
                                      str(tmp_path / "nope.csv")])
@@ -215,3 +267,13 @@ class TestEntryPoint:
         )
         assert proc.returncode == 2
         assert proc.stderr.strip().startswith("aockit:")
+
+    def test_cli_import_loads_no_scipy(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, aockit.cli; print('scipy' in sys.modules)"],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"

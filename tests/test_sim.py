@@ -10,7 +10,7 @@ from aockit.analysis import (
     tdma_r_avg_aoc_slots,
 )
 from aockit.domain import SchemeKind, TimingModel, make_per_vector
-from aockit.sim import RNG_NAME, SimConfig, SimResult, simulate, simulate_ms
+from aockit.sim import RNG_NAME, SimConfig, SimResult, _T975, simulate, simulate_ms
 
 P_HALF = make_per_vector([0.5, 0.5])
 UNIT = TimingModel(tdma_slot_ms=1.0, fdma_round_ms=1.0)
@@ -239,3 +239,14 @@ class TestSimulateMs:
         timing = TimingModel(tdma_slot_ms=1.0, fdma_round_ms=2.5)
         cfg = SimConfig(SchemeKind.FDMA, P_HALF, 10_000, 9)
         assert simulate_ms(cfg, timing).avg_aoc == 2.5 * simulate(cfg).avg_aoc
+
+
+class TestQuantileTable:
+    def test_one_entry_per_batch_count(self):
+        # 2..20 batches give 1..19 degrees of freedom
+        assert len(_T975) == 19
+
+    @pytest.mark.parametrize("df", range(1, 20))
+    def test_matches_scipy_exactly(self, df):
+        stats = pytest.importorskip("scipy.stats")
+        assert _T975[df - 1] == float(stats.t.ppf(0.975, df))

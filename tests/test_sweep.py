@@ -9,6 +9,7 @@ from aockit.sweep import (
     PerTable,
     SweepRow,
     default_order_patterns,
+    emit_csv,
     emit_rows,
     load_per_table,
     run_order_study,
@@ -348,3 +349,16 @@ class TestEmitRows:
         emit_rows(run_sweep(table, UNIT, horizon=20_000, seed=11), out1)
         emit_rows(run_sweep(table, UNIT, horizon=20_000, seed=11), out2)
         assert out1.read_bytes() == out2.read_bytes()
+
+
+class TestEmitCsv:
+    def test_strings_as_given_numbers_formatted(self):
+        buf = io.StringIO()
+        emit_csv(("name", "value"), [("a", 0.0123456789), ("7", 10), ("c", math.inf)], buf)
+        assert buf.getvalue() == "name,value\na,0.0123457\n7,10.0\nc,inf\n"
+
+    def test_path_and_stdout_match(self, tmp_path, capsys):
+        path = tmp_path / "t.csv"
+        emit_csv(("q",), [(0.104,)], path)
+        emit_csv(("q",), [(0.104,)])
+        assert path.read_text(encoding="utf-8") == capsys.readouterr().out == "q\n0.104\n"
