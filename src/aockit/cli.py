@@ -18,20 +18,19 @@ import argparse
 import sys
 
 from .domain import PerVector, SchemeKind, TimingModel, make_per_vector
-from .sim import SimConfig, simulate_ms
 from .sweep import (
     MODES,
-    SweepRow,
     default_order_patterns,
     emit_csv,
     emit_rows,
     load_per_table,
     run_order_study,
     run_sweep,
+    simulation_row,
     single_point_table,
 )
-from .timing import PhyProfile, fdma_round_ms, idealized_timing, status_duration_ms
-from .timing import ack_duration_ms, tdma_slot_ms
+from .timing import PhyProfile, default_timing, fdma_round_ms, idealized_timing
+from .timing import ack_duration_ms, status_duration_ms, tdma_slot_ms
 
 _ALL_SCHEMES = tuple(SchemeKind)
 
@@ -61,17 +60,9 @@ def _parse_orders(text: str) -> list[tuple[int, ...]]:
 def _parse_schemes(text: str | None) -> tuple[SchemeKind, ...]:
     if text is None:
         return _ALL_SCHEMES
-    schemes: list[SchemeKind] = []
-    for token in text.split(","):
-        token = token.strip()
-        if token == "tdma":
-            expanded = [SchemeKind.TDMA_NR, SchemeKind.TDMA_R]
-        else:
-            expanded = [SchemeKind.from_token(token)]
-        for scheme in expanded:
-            if scheme not in schemes:
-                schemes.append(scheme)
-    return tuple(schemes)
+    return tuple(dict.fromkeys(
+        scheme for token in text.split(",") for scheme in SchemeKind.expand(token.strip())
+    ))
 
 
 def _inline_p(args) -> PerVector:
@@ -83,43 +74,56 @@ def _inline_p(args) -> PerVector:
     return p
 
 
+def _device_counts(table, schemes=_ALL_SCHEMES) -> list[int]:
+    """Sorted distinct device counts of the table's keys under `schemes`."""
+    return sorted({
+        table.vector(snr, scheme).n for snr, scheme in table.keys() if scheme in schemes
+    })
+
+
 def _resolve_table(args, schemes):
     if args.per_table is not None and args.p is not None:
         raise ValueError("choose one of --per-table or --p")
     if args.per_table is not None:
-        return load_per_table(args.per_table)
+        table = load_per_table(args.per_table)
+        counts = _device_counts(table)
+        if args.n is not None and counts != [args.n]:
+            raise ValueError(
+                f"--n {args.n} does not match {args.per_table}: its keys have "
+                f"{', '.join(map(str, counts)) or 'no'} devices"
+            )
+        return table
     if args.p is not None:
         return single_point_table(_inline_p(args), schemes=schemes)
     raise ValueError("one of --per-table or --p is required")
 
 
-def _table_device_count(table) -> int | None:
-    sizes = {table.vector(snr, scheme).n for snr, scheme in table.keys()}
-    if len(sizes) > 1:
-        return -1
-    return sizes.pop() if sizes else None
-
-
-def _resolve_timing(args, n: int | None) -> TimingModel:
-    t_td = args.t_td if args.t_td is not None else tdma_slot_ms(PhyProfile())
-    if args.idealized:
-        if args.t_fd is not None:
-            raise ValueError("--idealized and --t-fd are mutually exclusive")
-        if n is None:
-            n = PhyProfile().num_devices
-        if n < 0:
-            raise ValueError("--idealized needs a single device count across all keys")
-        return idealized_timing(n, t_td)
+def _resolve_timing(args, fdma_counts) -> TimingModel:
+    """default_timing(n) with the timing flags applied, where n is the
+    device count of the run's FDMA rows (fdma_counts, one distinct count
+    per entry), or the default profile's when the run has none.  The FDMA
+    round is split from the profile only when no flag replaces it."""
+    if args.idealized and args.t_fd is not None:
+        raise ValueError("--idealized and --t-fd are mutually exclusive")
     if args.t_fd is not None:
-        return TimingModel(tdma_slot_ms=t_td, fdma_round_ms=args.t_fd)
-    return TimingModel(
-        tdma_slot_ms=t_td, fdma_round_ms=fdma_round_ms(PhyProfile.fdma_default())
-    )
+        fdma_counts = []
+    if len(fdma_counts) > 1:
+        raise ValueError(
+            f"FDMA keys mix device counts {', '.join(map(str, fdma_counts))}; "
+            "the FDMA round needs one (or give --t-fd)"
+        )
+    n = fdma_counts[0] if fdma_counts else PhyProfile.num_devices
+    timing = default_timing(PhyProfile.num_devices if args.idealized else n)
+    t_td = timing.tdma_slot_ms if args.t_td is None else args.t_td
+    if args.idealized:
+        return idealized_timing(n, t_td)
+    t_fd = timing.fdma_round_ms if args.t_fd is None else args.t_fd
+    return TimingModel(tdma_slot_ms=t_td, fdma_round_ms=t_fd)
 
 
 def _cmd_theory(args) -> int:
     table = _resolve_table(args, schemes=_parse_schemes(args.scheme))
-    timing = _resolve_timing(args, _table_device_count(table))
+    timing = _resolve_timing(args, _device_counts(table, (SchemeKind.FDMA,)))
     rows = run_sweep(table, timing, modes=("theory",), horizon=1, seed=0)
     emit_rows(rows, args.out)
     return 0
@@ -128,26 +132,16 @@ def _cmd_theory(args) -> int:
 def _cmd_simulate(args) -> int:
     p = _inline_p(args)
     scheme = SchemeKind.from_token(args.scheme)
-    timing = _resolve_timing(args, p.n)
+    timing = _resolve_timing(args, [p.n] if scheme is SchemeKind.FDMA else [])
     order = _parse_order(args.order) if args.order else None
-    config = SimConfig(scheme, p, args.horizon, args.seed, order=order)
-    result = simulate_ms(config, timing)
-    row = SweepRow(
-        snr_db=0.0,
-        scheme=scheme,
-        mode="simulation",
-        avg_aoc_ms=result.avg_aoc,
-        ci_halfwidth_ms=result.ci_halfwidth,
-        seed=args.seed,
-        order=order,
-    )
+    row = simulation_row(0.0, scheme, p, timing, args.horizon, args.seed, order)
     emit_rows([row], args.out)
     return 0
 
 
 def _cmd_sweep(args) -> int:
     table = _resolve_table(args, schemes=_ALL_SCHEMES)
-    timing = _resolve_timing(args, _table_device_count(table))
+    timing = _resolve_timing(args, _device_counts(table, (SchemeKind.FDMA,)))
     modes = tuple(tok.strip() for tok in args.modes.split(",") if tok.strip())
     rows = run_sweep(table, timing, modes=modes, horizon=args.horizon, seed=args.seed)
     emit_rows(rows, args.out)
@@ -157,7 +151,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_orders(args) -> int:
     p = _inline_p(args)
     orders = _parse_orders(args.orders) if args.orders else default_order_patterns(p.n)
-    timing = _resolve_timing(args, p.n)
+    timing = _resolve_timing(args, [])
     rows = run_order_study(p, orders, timing, horizon=args.horizon, seed=args.seed)
     emit_rows(rows, args.out)
     return 0
@@ -174,7 +168,7 @@ def _cmd_timing(args) -> int:
         cp_samples=args.cp_samples,
         gi_ms=args.gi_ms,
         ack_payload_bits=args.ack_payload_bits,
-        num_devices=args.n if args.n is not None else 6,
+        num_devices=args.n if args.n is not None else PhyProfile.num_devices,
     )
     split = phy.fdma_split()
     records = [
@@ -192,7 +186,8 @@ def _add_timing_flags(parser) -> None:
     parser.add_argument("--t-td", type=float, default=None, metavar="MS",
                         help="TDMA slot duration in ms (default: PHY profile, 0.104)")
     parser.add_argument("--t-fd", type=float, default=None, metavar="MS",
-                        help="FDMA round duration in ms (default: PHY profile, 0.224)")
+                        help="FDMA round duration in ms (default: the PHY profile's "
+                             "round for the run's N devices, 0.224 at N = 6)")
     parser.add_argument("--idealized", action="store_true",
                         help="set the FDMA round to N TDMA slots (overhead-free)")
 
@@ -203,7 +198,7 @@ def _add_input_flags(parser) -> None:
     parser.add_argument("--p", metavar="LIST", default=None,
                         help="inline comma-separated PER vector, e.g. 0.1,0.2")
     parser.add_argument("--n", type=int, default=None,
-                        help="device count; checked against --p when both given")
+                        help="device count; checked against --p or --per-table")
 
 
 def _add_run_flags(parser) -> None:

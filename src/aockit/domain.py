@@ -53,6 +53,14 @@ class SchemeKind(enum.Enum):
                 return kind
         raise ValueError(f"unknown scheme token {token!r}")
 
+    @classmethod
+    def expand(cls, token: str) -> tuple["SchemeKind", ...]:
+        """Schemes a token names: its own scheme, or both TDMA schemes for
+        the shorthand tdma."""
+        if token == "tdma":
+            return (cls.TDMA_NR, cls.TDMA_R)
+        return (cls.from_token(token),)
+
     @property
     def token(self) -> str:
         return self.value
@@ -97,7 +105,7 @@ class PerVector:
     def permuted(self, order: tuple[int, ...]) -> "PerVector":
         """PerVector seen in transmission order: entry j is the PER of the
         device transmitting j-th.  `order` is a permutation of 1..N."""
-        _check_permutation(order, self.n)
+        order = _check_permutation(order, self.n)
         return PerVector(tuple(self.probs[d - 1] for d in order))
 
 
@@ -106,9 +114,17 @@ def make_per_vector(probs) -> PerVector:
     return PerVector(tuple(float(p) for p in probs))
 
 
-def _check_permutation(order: tuple[int, ...], n: int) -> None:
+def _check_permutation(order, n: int) -> tuple[int, ...]:
+    """`order` as an int tuple, checked to be a permutation of 1..n."""
+    order = tuple(int(d) for d in order)
     if sorted(order) != list(range(1, n + 1)):
         raise ValueError(f"order {order!r} is not a permutation of 1..{n}")
+    return order
+
+
+def _check_seed(seed) -> None:
+    if not isinstance(seed, int) or isinstance(seed, bool) or not (0 <= seed < 2 ** 64):
+        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
 
 
 @dataclass(frozen=True)

@@ -21,14 +21,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import AocTrace, PerVector, SchemeKind, TimingModel, integrate_trace
+from .domain import (
+    AocTrace,
+    PerVector,
+    SchemeKind,
+    TimingModel,
+    _check_permutation,
+    _check_seed,
+    integrate_trace,
+)
 
 __all__ = ["RNG_NAME", "SimConfig", "SimResult", "simulate", "simulate_ms"]
 
 RNG_NAME = "PCG64"
 
 _CHUNK = 1 << 16
-_SEED_BITS = 64
 
 # Student-t 97.5% quantiles for 1..19 degrees of freedom: the batch-means
 # CI uses at most 20 batches.  Each entry is the float scipy.stats.t.ppf
@@ -80,19 +87,11 @@ class SimConfig:
             raise ValueError(f"horizon must be an int, got {self.horizon!r}")
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ValueError(f"seed must be an int, got {self.seed!r}")
-        if not (0 <= self.seed < 2 ** _SEED_BITS):
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        _check_seed(self.seed)
         if self.order is not None:
-            order = tuple(int(d) for d in self.order)
-            object.__setattr__(self, "order", order)
-            if sorted(order) != list(range(1, self.p.n + 1)):
-                raise ValueError(
-                    f"order {order!r} is not a permutation of 1..{self.p.n}"
-                )
             if self.scheme is SchemeKind.FDMA:
                 raise ValueError("order applies to TDMA schemes only")
+            object.__setattr__(self, "order", _check_permutation(self.order, self.p.n))
 
     def effective_per(self) -> PerVector:
         """Error rates in transmission order."""

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import avg_aoc_ms
-from .domain import PerVector, SchemeKind, TimingModel
+from .domain import PerVector, SchemeKind, TimingModel, _check_permutation, _check_seed
 from .sim import SimConfig, simulate_ms
 
 __all__ = [
@@ -31,6 +31,8 @@ __all__ = [
     "run_sweep",
     "run_order_study",
     "default_order_patterns",
+    "theory_row",
+    "simulation_row",
     "emit_csv",
     "emit_rows",
 ]
@@ -39,7 +41,6 @@ MODES = ("theory", "simulation")
 
 _HEADER = ("snr_db", "scheme", "device_id", "per")
 _OUT_HEADER = ("snr_db", "scheme", "mode", "avg_aoc_ms", "ci_halfwidth_ms", "seed")
-_SEED_MASK = 2 ** 64 - 1
 
 
 @dataclass(frozen=True)
@@ -89,8 +90,8 @@ class PerTable:
 class SweepRow:
     """One output record of a sweep or order study.
 
-    Theory rows carry ci_halfwidth_ms = 0 and seed = 0.  order is set only
-    by order studies (the transmission order the row was computed under).
+    Theory rows carry ci_halfwidth_ms = 0 and seed = 0.  order is the
+    transmission order the row was computed under, None for index order.
     """
 
     snr_db: float
@@ -108,12 +109,9 @@ class SweepRow:
             raise ValueError(f"avg_aoc_ms must be > 0, got {self.avg_aoc_ms!r}")
         if math.isnan(self.ci_halfwidth_ms) or self.ci_halfwidth_ms < 0.0:
             raise ValueError(f"ci_halfwidth_ms must be >= 0, got {self.ci_halfwidth_ms!r}")
-        if not (0 <= self.seed <= _SEED_MASK):
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        _check_seed(self.seed)
         if self.mode == "theory" and (self.ci_halfwidth_ms != 0.0 or self.seed != 0):
             raise ValueError("theory rows carry ci_halfwidth_ms = 0 and seed = 0")
-        if self.order is not None:
-            object.__setattr__(self, "order", tuple(int(d) for d in self.order))
 
 
 def load_per_table(path) -> PerTable:
@@ -143,7 +141,12 @@ def load_per_table(path) -> PerTable:
                 raise ValueError(f"invalid snr_db {snr_s!r} at line {line}") from None
             if not math.isfinite(snr):
                 raise ValueError(f"invalid snr_db {snr_s!r} at line {line}")
-            schemes = _parse_scheme_token(scheme_s, line)
+            try:
+                schemes = SchemeKind.expand(scheme_s)
+            except ValueError:
+                raise ValueError(
+                    f"unknown scheme token {scheme_s!r} at line {line}"
+                ) from None
             try:
                 device = int(device_s)
             except ValueError:
@@ -163,15 +166,6 @@ def load_per_table(path) -> PerTable:
     return PerTable(tuple(rows))
 
 
-def _parse_scheme_token(token: str, line: int) -> tuple[SchemeKind, ...]:
-    if token == "tdma":
-        return (SchemeKind.TDMA_NR, SchemeKind.TDMA_R)
-    try:
-        return (SchemeKind.from_token(token),)
-    except ValueError:
-        raise ValueError(f"unknown scheme token {token!r} at line {line}") from None
-
-
 def single_point_table(
     p: PerVector,
     schemes=tuple(SchemeKind),
@@ -187,14 +181,43 @@ def single_point_table(
 
 
 def _derive_seed(master: int, *parts) -> int:
+    # both operands are 64-bit, so the result is a valid seed
     key = ":".join(str(part) for part in parts).encode("ascii")
     digest = hashlib.blake2b(key, digest_size=8).digest()
-    return (master ^ int.from_bytes(digest, "big")) & _SEED_MASK
+    return master ^ int.from_bytes(digest, "big")
 
 
-def _check_master_seed(seed: int) -> None:
-    if not isinstance(seed, int) or isinstance(seed, bool) or not (0 <= seed <= _SEED_MASK):
-        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
+def theory_row(
+    snr_db: float,
+    scheme: SchemeKind,
+    p: PerVector,
+    timing: TimingModel,
+    order=None,
+) -> SweepRow:
+    """Closed-form row for one key; with an order, the closed form sees
+    p in that transmission order."""
+    seen = p
+    if order is not None:
+        order = _check_permutation(order, p.n)
+        seen = p.permuted(order)
+    return SweepRow(snr_db, scheme, "theory", avg_aoc_ms(scheme, seen, timing),
+                    0.0, 0, order)
+
+
+def simulation_row(
+    snr_db: float,
+    scheme: SchemeKind,
+    p: PerVector,
+    timing: TimingModel,
+    horizon: int,
+    seed: int,
+    order=None,
+) -> SweepRow:
+    """One seeded simulation run as a row; order as in SimConfig."""
+    config = SimConfig(scheme, p, horizon, seed, order=order)
+    result = simulate_ms(config, timing)
+    return SweepRow(snr_db, scheme, "simulation", result.avg_aoc,
+                    result.ci_halfwidth, seed, config.order)
 
 
 def run_sweep(
@@ -208,35 +231,24 @@ def run_sweep(
 
     Simulation seeds derive from the master seed and the row key, so rows
     are independent of which other keys the table happens to contain.
-    Rows come back sorted by (snr_db, scheme, mode).
+    Rows come back sorted by (snr_db, scheme, mode).  An error raised
+    while computing a row is re-raised prefixed with the row's key.
     """
     mode_set = set(modes)
     if not mode_set or not mode_set.issubset(MODES):
         raise ValueError(f"modes must be a non-empty subset of {MODES}, got {modes!r}")
-    _check_master_seed(seed)
+    _check_seed(seed)
     rows: list[SweepRow] = []
     for snr, scheme in table.keys():
         p = table.vector(snr, scheme)
-        if "theory" in mode_set:
-            rows.append(SweepRow(
-                snr_db=snr,
-                scheme=scheme,
-                mode="theory",
-                avg_aoc_ms=avg_aoc_ms(scheme, p, timing),
-                ci_halfwidth_ms=0.0,
-                seed=0,
-            ))
-        if "simulation" in mode_set:
-            run_seed = _derive_seed(seed, "sweep", repr(float(snr)), scheme.token)
-            result = simulate_ms(SimConfig(scheme, p, horizon, run_seed), timing)
-            rows.append(SweepRow(
-                snr_db=snr,
-                scheme=scheme,
-                mode="simulation",
-                avg_aoc_ms=result.avg_aoc,
-                ci_halfwidth_ms=result.ci_halfwidth,
-                seed=run_seed,
-            ))
+        try:
+            if "theory" in mode_set:
+                rows.append(theory_row(snr, scheme, p, timing))
+            if "simulation" in mode_set:
+                run_seed = _derive_seed(seed, "sweep", repr(float(snr)), scheme.token)
+                rows.append(simulation_row(snr, scheme, p, timing, horizon, run_seed))
+        except ValueError as exc:
+            raise ValueError(f"({snr} dB, {scheme.token}): {exc}") from exc
     rows.sort(key=lambda r: (r.snr_db, r.scheme.token, r.mode))
     return rows
 
@@ -252,42 +264,28 @@ def run_order_study(
 
     Theory rows evaluate the closed forms on the order-permuted PerVector;
     simulation rows pass the order through SimConfig.  FDMA has no order
-    (all devices transmit simultaneously) and is omitted.
+    (all devices transmit simultaneously) and is omitted.  An error raised
+    while computing a row is re-raised prefixed with its key and order.
     """
-    _check_master_seed(seed)
-    normalized = [tuple(int(d) for d in order) for order in orders]
-    if not normalized:
+    _check_seed(seed)
+    orders = [_check_permutation(order, p.n) for order in orders]
+    if not orders:
         raise ValueError("order study needs at least one order")
-    if len(set(normalized)) != len(normalized):
+    if len(set(orders)) != len(orders):
         raise ValueError("duplicate order in order study")
     rows: list[SweepRow] = []
-    for order in normalized:
-        permuted = p.permuted(order)
+    for order in orders:
+        label = "-".join(map(str, order))
         for scheme in (SchemeKind.TDMA_NR, SchemeKind.TDMA_R):
-            rows.append(SweepRow(
-                snr_db=0.0,
-                scheme=scheme,
-                mode="theory",
-                avg_aoc_ms=avg_aoc_ms(scheme, permuted, timing),
-                ci_halfwidth_ms=0.0,
-                seed=0,
-                order=order,
-            ))
-            run_seed = _derive_seed(
-                seed, "order", "-".join(map(str, order)), scheme.token
-            )
-            result = simulate_ms(
-                SimConfig(scheme, p, horizon, run_seed, order=order), timing
-            )
-            rows.append(SweepRow(
-                snr_db=0.0,
-                scheme=scheme,
-                mode="simulation",
-                avg_aoc_ms=result.avg_aoc,
-                ci_halfwidth_ms=result.ci_halfwidth,
-                seed=run_seed,
-                order=order,
-            ))
+            try:
+                rows.append(theory_row(0.0, scheme, p, timing, order))
+                run_seed = _derive_seed(seed, "order", label, scheme.token)
+                rows.append(simulation_row(0.0, scheme, p, timing, horizon, run_seed,
+                                           order))
+            except ValueError as exc:
+                raise ValueError(
+                    f"(0.0 dB, {scheme.token}, order {label}): {exc}"
+                ) from exc
     return rows
 
 

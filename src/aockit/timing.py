@@ -146,8 +146,9 @@ def idealized_timing(n: int, t_td: float) -> TimingModel:
 
 
 def default_timing(num_devices: int = 6) -> TimingModel:
-    """TimingModel from the default profiles: 0.104 ms TDMA slots and, at
-    the 6-device split, 0.224 ms FDMA rounds."""
+    """TimingModel from the default profiles: 0.104 ms TDMA slots and FDMA
+    rounds at the num_devices split (0.224 ms for 6 devices).  Raises
+    ValueError when num_devices does not divide the 48 data subcarriers."""
     return TimingModel(
         tdma_slot_ms=tdma_slot_ms(PhyProfile(num_devices=num_devices)),
         fdma_round_ms=fdma_round_ms(PhyProfile.fdma_default(num_devices)),

@@ -18,14 +18,15 @@ TABLE = """snr_db,scheme,device_id,per
 """
 
 # `aockit sweep --p 0.3,0.2,0.1 --seed 7 --horizon H` stdout, recorded with
-# the half-width quantile taken from scipy.stats.t.ppf.  The horizons give
+# the half-width quantile taken from scipy.stats.t.ppf; the FDMA rows use
+# the 3-device round, 0.128 ms (16 subcarriers per device).  The horizons give
 # 1 usable batch (inf) for both TDMA schemes at 10, 2 batches for every
 # scheme at 13, 5 to 10 at 30 and the full 20 at 5000.
 SWEEP_GOLDEN = {
     10: (
         'snr_db,scheme,mode,avg_aoc_ms,ci_halfwidth_ms,seed\n'
-        '0.0,fdma,simulation,0.410667,0.711547,17578680901711760161\n'
-        '0.0,fdma,theory,0.556444,0.0,0\n'
+        '0.0,fdma,simulation,0.234667,0.406599,17578680901711760161\n'
+        '0.0,fdma,theory,0.317968,0.0,0\n'
         '0.0,tdma-nr,simulation,0.624,inf,7718441288640780397\n'
         '0.0,tdma-nr,theory,0.602101,0.0,0\n'
         '0.0,tdma-r,simulation,0.52,inf,11454282878471336457\n'
@@ -33,8 +34,8 @@ SWEEP_GOLDEN = {
     ),
     13: (
         'snr_db,scheme,mode,avg_aoc_ms,ci_halfwidth_ms,seed\n'
-        '0.0,fdma,simulation,0.734222,2.84619,17578680901711760161\n'
-        '0.0,fdma,theory,0.556444,0.0,0\n'
+        '0.0,fdma,simulation,0.419556,1.62639,17578680901711760161\n'
+        '0.0,fdma,theory,0.317968,0.0,0\n'
         '0.0,tdma-nr,simulation,0.5824,0.660723,7718441288640780397\n'
         '0.0,tdma-nr,theory,0.602101,0.0,0\n'
         '0.0,tdma-r,simulation,0.548889,0.330361,11454282878471336457\n'
@@ -42,8 +43,8 @@ SWEEP_GOLDEN = {
     ),
     30: (
         'snr_db,scheme,mode,avg_aoc_ms,ci_halfwidth_ms,seed\n'
-        '0.0,fdma,simulation,0.616,0.131108,17578680901711760161\n'
-        '0.0,fdma,theory,0.556444,0.0,0\n'
+        '0.0,fdma,simulation,0.352,0.0749187,17578680901711760161\n'
+        '0.0,fdma,theory,0.317968,0.0,0\n'
         '0.0,tdma-nr,simulation,0.54288,0.0540202,7718441288640780397\n'
         '0.0,tdma-nr,theory,0.602101,0.0,0\n'
         '0.0,tdma-r,simulation,0.552741,0.0827605,11454282878471336457\n'
@@ -51,8 +52,8 @@ SWEEP_GOLDEN = {
     ),
     5000: (
         'snr_db,scheme,mode,avg_aoc_ms,ci_halfwidth_ms,seed\n'
-        '0.0,fdma,simulation,0.55731,0.0149685,17578680901711760161\n'
-        '0.0,fdma,theory,0.556444,0.0,0\n'
+        '0.0,fdma,simulation,0.318463,0.00855346,17578680901711760161\n'
+        '0.0,fdma,theory,0.317968,0.0,0\n'
         '0.0,tdma-nr,simulation,0.605841,0.014815,7718441288640780397\n'
         '0.0,tdma-nr,theory,0.602101,0.0,0\n'
         '0.0,tdma-r,simulation,0.558011,0.00681223,11454282878471336457\n'
@@ -157,6 +158,87 @@ class TestTheory:
         assert float(rows[0][3]) == pytest.approx(want, rel=1e-5)
 
 
+class TestTimingFlags:
+    """Every subcommand's default timing is default_timing(n), n being the
+    device count of the run's FDMA rows."""
+
+    FIVE = ",".join(["0.1"] * 5)
+
+    def test_fdma_round_follows_device_count(self, capsys):
+        code, out, _ = _run(capsys, ["timing", "--n", "4"])
+        assert code == 0 and "fdma_round,0.16" in out.splitlines()
+        code, out, _ = _run(capsys, ["theory", "--p", "0,0,0,0", "--scheme", "fdma"])
+        assert code == 0
+        assert out.splitlines()[1] == "0.0,fdma,theory,0.24,0.0,0"
+
+    def test_indivisible_split_fails_like_timing(self, capsys):
+        code, _, want = _run(capsys, ["timing", "--n", "5"])
+        assert code == 2
+        assert want == "aockit: cannot split 48 subcarriers over 5 devices\n"
+        for argv in (["theory", "--p", self.FIVE],
+                     ["sweep", "--p", self.FIVE, "--horizon", "100"],
+                     ["simulate", "--scheme", "fdma", "--p", self.FIVE]):
+            code, out, err = _run(capsys, argv)
+            assert (code, out, err) == (2, "", want)
+
+    @pytest.mark.parametrize("argv", [
+        ["theory", "--scheme", "tdma"],
+        ["theory", "--t-fd", "0.2"],
+        ["sweep", "--t-fd", "0.2", "--horizon", "2000"],
+        ["simulate", "--scheme", "tdma-nr", "--horizon", "2000"],
+        ["orders", "--horizon", "2000"],
+    ])
+    def test_runs_without_a_split_work_at_any_n(self, capsys, argv):
+        code, _, err = _run(capsys, argv + ["--p", self.FIVE])
+        assert code == 0 and err == ""
+
+    def test_idealized_needs_no_split(self, capsys):
+        code, out, _ = _run(capsys, ["theory", "--p", "0,0,0,0,0", "--scheme", "fdma",
+                                     "--t-td", "1.0", "--idealized"])
+        assert code == 0
+        assert out.splitlines()[1] == "0.0,fdma,theory,7.5,0.0,0"
+
+    def test_mixed_fdma_device_counts(self, tmp_path, capsys):
+        path = tmp_path / "per.csv"
+        path.write_text("snr_db,scheme,device_id,per\n"
+                        "10,fdma,1,0.1\n10,fdma,2,0.1\n"
+                        "12,fdma,1,0.1\n12,fdma,2,0.1\n12,fdma,3,0.1\n",
+                        encoding="utf-8")
+        code, _, err = _run(capsys, ["theory", "--per-table", str(path)])
+        assert code == 2
+        assert "FDMA keys mix device counts 2, 3" in err
+        code, _, err = _run(capsys, ["theory", "--per-table", str(path), "--t-fd", "0.2"])
+        assert code == 0 and err == ""
+
+    def test_tdma_keys_do_not_set_the_fdma_round(self, tmp_path, capsys):
+        # TDMA keys at N = 5 beside FDMA keys at N = 2: the round is N = 2's
+        path = tmp_path / "per.csv"
+        path.write_text("snr_db,scheme,device_id,per\n"
+                        + "".join(f"10,tdma,{d},0\n" for d in range(1, 6))
+                        + "10,fdma,1,0\n10,fdma,2,0\n", encoding="utf-8")
+        code, out, err = _run(capsys, ["theory", "--per-table", str(path)])
+        assert code == 0 and err == ""
+        assert "10.0,fdma,theory,0.144,0.0,0" in out.splitlines()
+
+
+class TestDeviceCountFlag:
+    def test_checks_per_table(self, tmp_path, capsys):
+        path = tmp_path / "per.csv"
+        path.write_text(TABLE, encoding="utf-8")
+        code, _, err = _run(capsys, ["theory", "--per-table", str(path), "--n", "3"])
+        assert code == 2
+        assert err.startswith("aockit: --n 3 does not match") and "2 devices" in err
+        code, out, _ = _run(capsys, ["theory", "--per-table", str(path), "--n", "2"])
+        assert code == 0 and len(out.splitlines()) == 4
+
+    def test_names_every_count_of_a_mixed_table(self, tmp_path, capsys):
+        path = tmp_path / "per.csv"
+        path.write_text(TABLE + "12,fdma,1,0.1\n", encoding="utf-8")
+        code, _, err = _run(capsys, ["sweep", "--per-table", str(path), "--n", "2"])
+        assert code == 2
+        assert "1, 2 devices" in err
+
+
 class TestSimulate:
     def test_zero_loss_exact(self, capsys):
         code, out, _ = _run(capsys, ["simulate", "--scheme", "tdma-nr",
@@ -219,6 +301,12 @@ class TestSweep:
                                        "--horizon", str(horizon)])
         assert code == 0 and err == ""
         assert out == SWEEP_GOLDEN[horizon]
+
+    def test_row_error_names_its_key(self, capsys):
+        code, out, err = _run(capsys, ["sweep", "--p", "0.95,0.95,0.95,0.95",
+                                       "--horizon", "20"])
+        assert (code, out) == (2, "")
+        assert err == "aockit: (0.0 dB, fdma): insufficient collections\n"
 
     def test_missing_table_file(self, tmp_path, capsys):
         code, _, err = _run(capsys, ["sweep", "--per-table",

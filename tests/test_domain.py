@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from aockit.domain import (
     AocTrace,
@@ -51,10 +53,32 @@ class TestPerVector:
             p.permuted(order)
 
 
+    @given(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=64))
+    def test_probs_round_trip(self, values):
+        p = make_per_vector(values)
+        assert p.probs == tuple(values)
+        assert make_per_vector(p.probs) == p
+        assert make_per_vector(p.as_array()) == p
+
+    @given(st.permutations(list(range(1, 7))))
+    def test_permuted_round_trip(self, order):
+        p = make_per_vector([0.05, 0.1, 0.15, 0.2, 0.25, 0.3])
+        seen = p.permuted(order)
+        inverse = [order.index(d) + 1 for d in range(1, 7)]
+        assert seen.permuted(inverse) == p
+        assert seen.probs == tuple(p.probs[d - 1] for d in order)
+
+
 class TestSchemeKind:
     def test_tokens_roundtrip(self):
         for kind in SchemeKind:
             assert SchemeKind.from_token(kind.token) is kind
+            assert SchemeKind.expand(kind.token) == (kind,)
+
+    def test_tdma_shorthand(self):
+        assert SchemeKind.expand("tdma") == (SchemeKind.TDMA_NR, SchemeKind.TDMA_R)
+        with pytest.raises(ValueError, match="unknown scheme token 'csma'"):
+            SchemeKind.expand("csma")
 
     def test_unknown_token(self):
         with pytest.raises(ValueError):

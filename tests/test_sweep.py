@@ -1,9 +1,13 @@
 import io
+import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aockit.domain import SchemeKind, TimingModel, make_per_vector
+from aockit.sim import SimConfig
 from aockit.sweep import (
     MODES,
     PerTable,
@@ -122,6 +126,43 @@ class TestLoadPerTable:
             load_per_table(_write(tmp_path, text))
 
 
+# scheme columns one SNR may carry: the shorthand tdma stands in for both
+# TDMA schemes, so it never appears beside tdma-nr or tdma-r
+_LAYOUTS = [
+    cols for k in (1, 2, 3)
+    for cols in itertools.combinations(("fdma", "tdma", "tdma-nr", "tdma-r"), k)
+    if not ("tdma" in cols and ("tdma-nr" in cols or "tdma-r" in cols))
+]
+
+
+@st.composite
+def _tables(draw):
+    """(csv text, {(snr, scheme): probs}) for a random valid PER table."""
+    snrs = draw(st.lists(st.floats(-30.0, 60.0), min_size=1, max_size=3, unique=True))
+    expected, rows = {}, []
+    for snr in snrs:
+        for token in draw(st.sampled_from(_LAYOUTS)):
+            probs = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True),
+                                  min_size=1, max_size=5))
+            rows += [f"{snr!r},{token},{d},{per!r}" for d, per in enumerate(probs, 1)]
+            for scheme in SchemeKind.expand(token):
+                expected[(snr, scheme)] = tuple(probs)
+    rows = draw(st.permutations(rows))
+    return "snr_db,scheme,device_id,per\n" + "\n".join(rows) + "\n", expected
+
+
+class TestLoadPerTableProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(_tables())
+    def test_round_trip(self, tmp_path_factory, drawn):
+        text, expected = drawn
+        path = _write(tmp_path_factory.mktemp("t"), text)
+        table = load_per_table(path)
+        assert table.keys() == sorted(expected, key=lambda k: (k[0], k[1].token))
+        for (snr, scheme), probs in expected.items():
+            assert table.vector(snr, scheme).probs == probs
+
+
 class TestSinglePointTable:
     def test_all_schemes(self):
         table = single_point_table(make_per_vector([0.1, 0.2]))
@@ -206,6 +247,13 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="insufficient collections"):
             run_sweep(table, UNIT, horizon=20, seed=0)
 
+    def test_error_names_its_row(self):
+        table = single_point_table(make_per_vector([0.95] * 4),
+                                   schemes=(SchemeKind.TDMA_NR,), snr_db=5.0)
+        with pytest.raises(ValueError) as info:
+            run_sweep(table, UNIT, horizon=20, seed=0)
+        assert str(info.value) == "(5.0 dB, tdma-nr): insufficient collections"
+
 
 class TestRunOrderStudy:
     P = make_per_vector([0.05, 0.1, 0.1, 0.1, 0.1, 0.2])
@@ -250,6 +298,37 @@ class TestRunOrderStudy:
                             horizon=100, seed=0)
         with pytest.raises(ValueError):
             run_order_study(self.P, [], UNIT, horizon=100, seed=0)
+
+
+    def test_error_names_its_row_and_order(self):
+        with pytest.raises(ValueError) as info:
+            run_order_study(self.P, [(6, 1, 2, 3, 4, 5)], UNIT, horizon=3, seed=0)
+        assert str(info.value) == \
+            "(0.0 dB, tdma-nr, order 6-1-2-3-4-5): insufficient collections"
+
+
+class TestSeedCheck:
+    """SweepRow, SimConfig and both runners share one 64-bit seed check."""
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, True, 1.0, "7"])
+    def test_rejected_everywhere_alike(self, seed):
+        p = make_per_vector([0.1, 0.2])
+        calls = [
+            lambda: SweepRow(0.0, SchemeKind.FDMA, "simulation", 1.0, 0.0, seed),
+            lambda: SimConfig(SchemeKind.FDMA, p, 10, seed),
+            lambda: run_sweep(single_point_table(p), UNIT, modes=("theory",), seed=seed),
+            lambda: run_order_study(p, [(1, 2)], UNIT, horizon=10, seed=seed),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="^seed must be a 64-bit unsigned integer"):
+                call()
+
+    def test_extreme_seeds_accepted(self):
+        p = make_per_vector([0.1, 0.2])
+        for seed in (0, 2 ** 64 - 1):
+            rows = run_sweep(single_point_table(p, schemes=(SchemeKind.FDMA,)),
+                             UNIT, horizon=200, seed=seed)
+            assert all(0 <= r.seed < 2 ** 64 for r in rows)
 
 
 class TestDefaultOrderPatterns:
