@@ -65,10 +65,6 @@ class SchemeKind(enum.Enum):
     def token(self) -> str:
         return self.value
 
-    @property
-    def is_tdma(self) -> bool:
-        return self is not SchemeKind.FDMA
-
 
 @dataclass(frozen=True)
 class PerVector:
@@ -125,6 +121,13 @@ def _check_permutation(order, n: int) -> tuple[int, ...]:
 def _check_seed(seed) -> None:
     if not isinstance(seed, int) or isinstance(seed, bool) or not (0 <= seed < 2 ** 64):
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
+
+
+def _check_horizon(horizon) -> None:
+    if not isinstance(horizon, int) or isinstance(horizon, bool):
+        raise ValueError(f"horizon must be an int, got {horizon!r}")
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from .domain import (
     PerVector,
     SchemeKind,
     TimingModel,
+    _check_horizon,
     _check_permutation,
     _check_seed,
     integrate_trace,
@@ -83,10 +84,7 @@ class SimConfig:
             raise ValueError(f"scheme must be a SchemeKind, got {self.scheme!r}")
         if not isinstance(self.p, PerVector):
             raise ValueError(f"p must be a PerVector, got {self.p!r}")
-        if not isinstance(self.horizon, int) or isinstance(self.horizon, bool):
-            raise ValueError(f"horizon must be an int, got {self.horizon!r}")
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
+        _check_horizon(self.horizon)
         _check_seed(self.seed)
         if self.order is not None:
             if self.scheme is SchemeKind.FDMA:

@@ -13,13 +13,16 @@ import csv
 import hashlib
 import math
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
 from .analysis import avg_aoc_ms
-from .domain import PerVector, SchemeKind, TimingModel, _check_permutation, _check_seed
+from .domain import PerVector, SchemeKind, TimingModel
+from .domain import _check_horizon, _check_permutation, _check_seed
 from .sim import SimConfig, simulate_ms
 
 __all__ = [
@@ -45,45 +48,31 @@ _OUT_HEADER = ("snr_db", "scheme", "mode", "avg_aoc_ms", "ci_halfwidth_ms", "see
 
 @dataclass(frozen=True)
 class PerTable:
-    """Validated packet-error-rate rows (snr_db, scheme, device_id, per).
+    """Per-device packet error rates: a read-only map from each
+    (snr_db, scheme) key to the PerVector of its devices 1..N."""
 
-    For every (snr_db, scheme) key present, device ids 1..N must each
-    appear exactly once; each key then yields one PerVector.
-    """
-
-    rows: tuple[tuple[float, SchemeKind, int, float], ...]
+    vectors: Mapping[tuple[float, SchemeKind], PerVector]
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(self.rows))
-        grouped: dict[tuple[float, SchemeKind], dict[int, float]] = {}
-        for snr, scheme, device, per in self.rows:
+        vectors = {}
+        for (snr, scheme), p in self.vectors.items():
             if not isinstance(scheme, SchemeKind):
                 raise ValueError(f"scheme must be a SchemeKind, got {scheme!r}")
-            if not isinstance(device, int) or device < 1:
-                raise ValueError(f"device_id must be a positive int, got {device!r}")
-            devices = grouped.setdefault((float(snr), scheme), {})
-            if device in devices:
-                raise ValueError(
-                    f"duplicate device {device} for ({snr} dB, {scheme.token})"
-                )
-            devices[device] = float(per)
-        vectors: dict[tuple[float, SchemeKind], PerVector] = {}
-        for key, devices in grouped.items():
-            snr, scheme = key
-            n = len(devices)
-            if sorted(devices) != list(range(1, n + 1)):
-                raise ValueError(
-                    f"incomplete device set for ({snr} dB, {scheme.token})"
-                )
-            vectors[key] = PerVector(tuple(devices[d] for d in range(1, n + 1)))
-        object.__setattr__(self, "_vectors", vectors)
+            if not isinstance(p, PerVector):
+                raise ValueError(f"PER vector must be a PerVector, got {p!r}")
+            vectors[(float(snr), scheme)] = p
+        object.__setattr__(self, "vectors", MappingProxyType(vectors))
 
     def keys(self) -> list[tuple[float, SchemeKind]]:
         """(snr_db, scheme) keys sorted by SNR then scheme token."""
-        return sorted(self._vectors, key=lambda k: (k[0], k[1].token))
+        return sorted(self.vectors, key=lambda k: (k[0], k[1].token))
 
     def vector(self, snr_db: float, scheme: SchemeKind) -> PerVector:
-        return self._vectors[(float(snr_db), scheme)]
+        return self.vectors[(float(snr_db), scheme)]
+
+    def device_counts(self, schemes=tuple(SchemeKind)) -> list[int]:
+        """Sorted distinct device counts of the keys under `schemes`."""
+        return sorted({p.n for (_, scheme), p in self.vectors.items() if scheme in schemes})
 
 
 @dataclass(frozen=True)
@@ -119,9 +108,10 @@ def load_per_table(path) -> PerTable:
 
     Expected header: snr_db,scheme,device_id,per.  Scheme tokens are
     tdma-nr, tdma-r and fdma; the shorthand tdma applies one row to both
-    TDMA schemes.  Parse errors name the offending line.
+    TDMA schemes.  Every (snr_db, scheme) key must list devices 1..N once
+    each.  Parse errors and duplicate devices name the offending line.
     """
-    rows: list[tuple[float, SchemeKind, int, float]] = []
+    grouped: dict[tuple[float, SchemeKind], dict[int, float]] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -162,8 +152,19 @@ def load_per_table(path) -> PerTable:
             if not (0.0 <= per < 1.0):
                 raise ValueError(f"per out of range [0,1) at line {line}")
             for scheme in schemes:
-                rows.append((snr, scheme, device, per))
-    return PerTable(tuple(rows))
+                devices = grouped.setdefault((snr, scheme), {})
+                if device in devices:
+                    raise ValueError(f"duplicate device {device} for "
+                                     f"({snr} dB, {scheme.token}) at line {line}")
+                devices[device] = per
+    vectors = {}
+    for (snr, scheme), devices in grouped.items():
+        n = len(devices)
+        # distinct ids >= 1 are exactly 1..n when the largest is n
+        if max(devices) != n:
+            raise ValueError(f"incomplete device set for ({snr} dB, {scheme.token})")
+        vectors[(snr, scheme)] = PerVector(tuple(devices[d] for d in range(1, n + 1)))
+    return PerTable(vectors)
 
 
 def single_point_table(
@@ -171,13 +172,8 @@ def single_point_table(
     schemes=tuple(SchemeKind),
     snr_db: float = 0.0,
 ) -> PerTable:
-    """Table with one PerVector shared by the given schemes at one key."""
-    rows = [
-        (snr_db, scheme, device + 1, per)
-        for scheme in schemes
-        for device, per in enumerate(p.probs)
-    ]
-    return PerTable(tuple(rows))
+    """Table with one PerVector shared by the given schemes at one SNR."""
+    return PerTable({(snr_db, scheme): p for scheme in schemes})
 
 
 def _derive_seed(master: int, *parts) -> int:
@@ -238,6 +234,7 @@ def run_sweep(
     if not mode_set or not mode_set.issubset(MODES):
         raise ValueError(f"modes must be a non-empty subset of {MODES}, got {modes!r}")
     _check_seed(seed)
+    _check_horizon(horizon)
     rows: list[SweepRow] = []
     for snr, scheme in table.keys():
         p = table.vector(snr, scheme)
@@ -268,6 +265,7 @@ def run_order_study(
     while computing a row is re-raised prefixed with its key and order.
     """
     _check_seed(seed)
+    _check_horizon(horizon)
     orders = [_check_permutation(order, p.n) for order in orders]
     if not orders:
         raise ValueError("order study needs at least one order")

@@ -40,8 +40,8 @@ class PhyProfile:
     prefix, 160-sample reduced preamble, 48 data subcarriers per symbol,
     96-bit status payloads and 24-bit acknowledgements at code rate 1/2
     (code_rate_inv = 2), 0.016 ms guard interval, 6 devices.  FDMA splits
-    the 48 data subcarriers across the devices; fdma_default() applies
-    that split.
+    the 48 data subcarriers across the devices; fdma_split() applies that
+    split.
     """
 
     bandwidth_hz: float = 10e6          # [samples/s]
@@ -99,12 +99,6 @@ class PhyProfile:
             )
         return replace(self, data_subcarriers=self.data_subcarriers // self.num_devices)
 
-    @classmethod
-    def fdma_default(cls, num_devices: int = 6) -> "PhyProfile":
-        """Default profile at the per-device FDMA allocation (8 subcarriers
-        for 6 devices)."""
-        return cls(num_devices=num_devices).fdma_split()
-
 
 def _packet_ms(phy: PhyProfile, payload_bits: int) -> float:
     coded = payload_bits * phy.code_rate_inv
@@ -132,7 +126,7 @@ def fdma_round_ms(phy: PhyProfile) -> float:
     """Duration of one FDMA round: parallel status packets plus one guard.
 
     Pass a profile whose data_subcarriers already reflect the per-device
-    sub-channel (see PhyProfile.fdma_split / fdma_default).
+    sub-channel (see PhyProfile.fdma_split).
     """
     return status_duration_ms(phy) + phy.gi_ms
 
@@ -149,7 +143,6 @@ def default_timing(num_devices: int = 6) -> TimingModel:
     """TimingModel from the default profiles: 0.104 ms TDMA slots and FDMA
     rounds at the num_devices split (0.224 ms for 6 devices).  Raises
     ValueError when num_devices does not divide the 48 data subcarriers."""
-    return TimingModel(
-        tdma_slot_ms=tdma_slot_ms(PhyProfile(num_devices=num_devices)),
-        fdma_round_ms=fdma_round_ms(PhyProfile.fdma_default(num_devices)),
-    )
+    phy = PhyProfile(num_devices=num_devices)
+    return TimingModel(tdma_slot_ms=tdma_slot_ms(phy),
+                       fdma_round_ms=fdma_round_ms(phy.fdma_split()))

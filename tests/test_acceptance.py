@@ -57,7 +57,7 @@ def test_criterion_1_timing_constants(capfd):
     t0 = time.perf_counter()
     try:
         tdma = PhyProfile()
-        fdma = PhyProfile.fdma_default()
+        fdma = PhyProfile(num_devices=6).fdma_split()
         for got, want in [
             (status_duration_ms(tdma), 0.048),
             (ack_duration_ms(tdma), 0.024),

@@ -123,6 +123,29 @@ class TestTheory:
         assert code == 0
         assert len(out.splitlines()) == 4  # header + 3 keys
 
+    def test_scheme_filters_table_keys(self, tmp_path, capsys):
+        path = tmp_path / "per.csv"
+        path.write_text(TABLE, encoding="utf-8")
+        code, out, err = _run(capsys, ["theory", "--per-table", str(path),
+                                       "--scheme", "fdma"])
+        assert code == 0 and err == ""
+        rows = out.splitlines()[1:]
+        assert len(rows) == 1 and rows[0].startswith("10.0,fdma,theory,")
+
+    def test_tdma_filter_skips_the_fdma_split(self, tmp_path, capsys):
+        # FDMA keys at N = 5 cannot be split, but --scheme tdma drops them
+        path = tmp_path / "per.csv"
+        path.write_text("snr_db,scheme,device_id,per\n"
+                        + "".join(f"10,fdma,{d},0.1\n" for d in range(1, 6))
+                        + "10,tdma,1,0.1\n10,tdma,2,0.1\n", encoding="utf-8")
+        code, _, err = _run(capsys, ["theory", "--per-table", str(path)])
+        assert (code, err) == (2, "aockit: cannot split 48 subcarriers over 5 devices\n")
+        code, out, err = _run(capsys, ["theory", "--per-table", str(path),
+                                       "--scheme", "tdma"])
+        assert code == 0 and err == ""
+        assert [line.split(",")[1] for line in out.splitlines()[1:]] == \
+            ["tdma-nr", "tdma-r"]
+
     def test_idealized(self, capsys):
         code, out, _ = _run(capsys, ["theory", "--p", "0,0,0,0,0,0",
                                      "--t-td", "1.0", "--idealized"])
@@ -237,6 +260,30 @@ class TestDeviceCountFlag:
         code, _, err = _run(capsys, ["sweep", "--per-table", str(path), "--n", "2"])
         assert code == 2
         assert "1, 2 devices" in err
+
+
+class TestInputFlags:
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--scheme", "tdma-nr"],
+        ["orders"],
+    ])
+    def test_inline_only_subcommands_reject_per_table(self, tmp_path, capsys, command):
+        path = tmp_path / "per.csv"
+        path.write_text(TABLE, encoding="utf-8")
+        with pytest.raises(SystemExit) as info:
+            main(command + ["--p", "0.1,0.2", "--per-table", str(path)])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --per-table" in capsys.readouterr().err
+
+
+class TestHorizonFlag:
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--p", "0.1,0.2", "--modes", "theory"],  # builds no SimConfig
+        ["orders", "--p", "0.1,0.2"],  # a run-level error, not a row's
+    ])
+    def test_checked_before_any_row(self, capsys, argv):
+        code, out, err = _run(capsys, argv + ["--horizon", "0"])
+        assert (code, out, err) == (2, "", "aockit: horizon must be >= 1, got 0\n")
 
 
 class TestSimulate:

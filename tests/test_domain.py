@@ -84,11 +84,6 @@ class TestSchemeKind:
         with pytest.raises(ValueError):
             SchemeKind.from_token("tdma")  # shorthand is a table concept
 
-    def test_is_tdma(self):
-        assert SchemeKind.TDMA_NR.is_tdma
-        assert SchemeKind.TDMA_R.is_tdma
-        assert not SchemeKind.FDMA.is_tdma
-
 
 class TestTimingModel:
     def test_valid(self):

@@ -1,5 +1,7 @@
 """README.md stays true: its CLI transcripts and its library example run."""
 
+import argparse
+import dataclasses
 import re
 import shlex
 from pathlib import Path
@@ -7,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import aockit
-from aockit.cli import main
+from aockit.cli import _build_parser, main
+from aockit.timing import PhyProfile
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 BLOCKS = re.findall(r"^```(\w*)\n(.*?)^```", README, flags=re.M | re.S)
@@ -47,3 +50,18 @@ def test_package_exports_the_library_example_and_its_types():
     assert set(aockit.__all__) == names | types | {"__version__"}
     for name in aockit.__all__:
         assert hasattr(aockit, name)
+
+
+def test_timing_flags_match_the_cli_and_the_profile():
+    """README's `timing` flag list is the timing subparser's PHY options,
+    and those options set exactly PhyProfile's fields."""
+    listed = re.search(r"Flags override any default PHY parameter \((.*?)\)", README,
+                       flags=re.S).group(1)
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    phy_options = [a for a in sub.choices["timing"]._actions
+                   if a.dest not in ("help", "out")]
+    assert re.findall(r"`(--[\w-]+)`", listed) == \
+        [opt for a in phy_options for opt in a.option_strings]
+    assert {a.dest for a in phy_options} == \
+        {field.name for field in dataclasses.fields(PhyProfile)}

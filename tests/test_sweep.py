@@ -42,35 +42,37 @@ TABLE_OK = """snr_db,scheme,device_id,per
 
 class TestPerTable:
     def test_keys_and_vectors(self):
-        table = PerTable((
-            (10.0, SchemeKind.FDMA, 2, 0.2),
-            (10.0, SchemeKind.FDMA, 1, 0.1),
-            (5.0, SchemeKind.TDMA_NR, 1, 0.3),
-        ))
+        table = PerTable({
+            (10.0, SchemeKind.FDMA): make_per_vector([0.1, 0.2]),
+            (5, SchemeKind.TDMA_NR): make_per_vector([0.3]),
+        })
         assert table.keys() == [(5.0, SchemeKind.TDMA_NR), (10.0, SchemeKind.FDMA)]
         assert table.vector(10.0, SchemeKind.FDMA).probs == (0.1, 0.2)
+        assert table.vector(5.0, SchemeKind.TDMA_NR).probs == (0.3,)
 
-    def test_duplicate_device(self):
-        with pytest.raises(ValueError, match="duplicate device"):
-            PerTable((
-                (10.0, SchemeKind.FDMA, 1, 0.1),
-                (10.0, SchemeKind.FDMA, 1, 0.2),
-            ))
-
-    def test_incomplete_device_set(self):
-        with pytest.raises(ValueError, match="incomplete device set"):
-            PerTable((
-                (10.0, SchemeKind.FDMA, 1, 0.1),
-                (10.0, SchemeKind.FDMA, 3, 0.2),
-            ))
-
-    def test_bad_device_id(self):
-        with pytest.raises(ValueError):
-            PerTable(((10.0, SchemeKind.FDMA, 0, 0.1),))
+    def test_scheme_must_be_a_scheme_kind(self):
+        with pytest.raises(ValueError, match="scheme must be a SchemeKind"):
+            PerTable({(10.0, "fdma"): make_per_vector([0.1])})
 
     def test_per_validated(self):
-        with pytest.raises(ValueError):
-            PerTable(((10.0, SchemeKind.FDMA, 1, 1.0),))
+        # values must be PerVectors, whose constructor checks every PER
+        with pytest.raises(ValueError, match="must be a PerVector"):
+            PerTable({(10.0, SchemeKind.FDMA): (0.1, 1.0)})
+
+    def test_read_only(self):
+        table = single_point_table(make_per_vector([0.1]))
+        with pytest.raises(TypeError):
+            table.vectors[(1.0, SchemeKind.FDMA)] = make_per_vector([0.2])
+
+    def test_device_counts(self):
+        table = PerTable({
+            (10.0, SchemeKind.FDMA): make_per_vector([0.1, 0.2]),
+            (12.0, SchemeKind.FDMA): make_per_vector([0.1] * 3),
+            (10.0, SchemeKind.TDMA_R): make_per_vector([0.1] * 5),
+        })
+        assert table.device_counts() == [2, 3, 5]
+        assert table.device_counts((SchemeKind.FDMA,)) == [2, 3]
+        assert table.device_counts((SchemeKind.TDMA_NR,)) == []
 
 
 class TestLoadPerTable:
@@ -105,6 +107,17 @@ class TestLoadPerTable:
         with pytest.raises(ValueError, match="unknown scheme token 'csma' at line 2"):
             load_per_table(_write(tmp_path, text))
 
+    def test_duplicate_device_names_line(self, tmp_path):
+        text = "snr_db,scheme,device_id,per\n10,fdma,1,0.1\n10,fdma,1,0.2\n"
+        with pytest.raises(ValueError,
+                           match=r"^duplicate device 1 for \(10.0 dB, fdma\) at line 3$"):
+            load_per_table(_write(tmp_path, text))
+
+    def test_shorthand_duplicates_a_tdma_row(self, tmp_path):
+        text = "snr_db,scheme,device_id,per\n10,tdma-r,1,0.1\n10,tdma,1,0.2\n"
+        with pytest.raises(ValueError, match=r"\(10.0 dB, tdma-r\) at line 3$"):
+            load_per_table(_write(tmp_path, text))
+
     def test_missing_device(self, tmp_path):
         text = "snr_db,scheme,device_id,per\n10,fdma,1,0.1\n10,fdma,3,0.1\n"
         with pytest.raises(ValueError, match="incomplete device set"):
@@ -118,6 +131,7 @@ class TestLoadPerTable:
     @pytest.mark.parametrize("row,what", [
         ("abc,fdma,1,0.1", "snr_db"),
         ("10,fdma,x,0.1", "device_id"),
+        ("10,fdma,0,0.1", "device_id"),
         ("10,fdma,1,low", "per"),
     ])
     def test_bad_values_name_line(self, tmp_path, row, what):
@@ -219,8 +233,7 @@ class TestRunSweep:
         # adding another key must not perturb an existing key's rows
         p = make_per_vector([0.3, 0.3])
         small = single_point_table(p, schemes=(SchemeKind.FDMA,), snr_db=4.0)
-        big = PerTable(small.rows + single_point_table(
-            p, schemes=(SchemeKind.FDMA,), snr_db=8.0).rows)
+        big = PerTable({**small.vectors, (8.0, SchemeKind.FDMA): p})
         rows_small = run_sweep(small, UNIT, horizon=20_000, seed=7)
         rows_big = run_sweep(big, UNIT, horizon=20_000, seed=7)
         shared_small = [r for r in rows_small if r.snr_db == 4.0]
@@ -329,6 +342,30 @@ class TestSeedCheck:
             rows = run_sweep(single_point_table(p, schemes=(SchemeKind.FDMA,)),
                              UNIT, horizon=200, seed=seed)
             assert all(0 <= r.seed < 2 ** 64 for r in rows)
+
+
+class TestHorizonCheck:
+    """SimConfig and both runners share one horizon check, which the
+    runners make before any row is built."""
+
+    @pytest.mark.parametrize("horizon,message", [
+        (0, "horizon must be >= 1, got 0"),
+        (-5, "horizon must be >= 1, got -5"),
+        (1.0, "horizon must be an int, got 1.0"),
+        (True, "horizon must be an int, got True"),
+    ])
+    def test_rejected_everywhere_alike(self, horizon, message):
+        p = make_per_vector([0.1, 0.2])
+        calls = [
+            lambda: SimConfig(SchemeKind.FDMA, p, horizon, 0),
+            lambda: run_sweep(single_point_table(p), UNIT, modes=("theory",),
+                              horizon=horizon),
+            lambda: run_order_study(p, [(1, 2)], UNIT, horizon=horizon),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == message
 
 
 class TestDefaultOrderPatterns:

@@ -13,6 +13,7 @@ from aockit.timing import (
 )
 
 REL = 1e-12
+FDMA6 = PhyProfile(num_devices=6).fdma_split()  # one device's 8-subcarrier share
 
 
 class TestDefaults:
@@ -26,10 +27,10 @@ class TestDefaults:
         assert tdma_slot_ms(PhyProfile()) == pytest.approx(0.104, rel=REL)
 
     def test_fdma_round(self):
-        assert fdma_round_ms(PhyProfile.fdma_default()) == pytest.approx(0.224, rel=REL)
+        assert fdma_round_ms(FDMA6) == pytest.approx(0.224, rel=REL)
 
     def test_fdma_status(self):
-        assert status_duration_ms(PhyProfile.fdma_default()) == pytest.approx(0.208, rel=REL)
+        assert status_duration_ms(FDMA6) == pytest.approx(0.208, rel=REL)
 
     def test_default_timing(self):
         t = default_timing()
@@ -77,8 +78,7 @@ class TestSlotAndRound:
         assert tdma_slot_ms(PhyProfile(gi_ms=0.032)) == pytest.approx(0.136, rel=REL)
 
     def test_round_without_guard(self):
-        phy = PhyProfile.fdma_default()
-        assert fdma_round_ms(dataclasses.replace(phy, gi_ms=0.0)) == pytest.approx(
+        assert fdma_round_ms(dataclasses.replace(FDMA6, gi_ms=0.0)) == pytest.approx(
             0.208, rel=REL
         )
 
@@ -118,7 +118,7 @@ class TestMonotonicity:
         assert tdma_slot_ms(PhyProfile(gi_ms=0.02)) > tdma_slot_ms(PhyProfile())
 
     def test_all_durations_positive(self):
-        for phy in (PhyProfile(), PhyProfile.fdma_default(), PhyProfile(gi_ms=0.0)):
+        for phy in (PhyProfile(), FDMA6, PhyProfile(gi_ms=0.0)):
             assert status_duration_ms(phy) > 0.0
             assert ack_duration_ms(phy) > 0.0
             assert tdma_slot_ms(phy) > 0.0
