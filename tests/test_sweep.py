@@ -59,6 +59,15 @@ class TestPerTable:
         with pytest.raises(ValueError, match="must be a PerVector"):
             PerTable({(10.0, SchemeKind.FDMA): (0.1, 1.0)})
 
+    def test_incomplete_device_set(self, tmp_path):
+        # a value must cover devices 1..N: a device -> PER map with a gap is
+        # no PerVector, and the loader rejects the same gap in a CSV
+        with pytest.raises(ValueError, match="must be a PerVector"):
+            PerTable({(10.0, SchemeKind.FDMA): {1: 0.1, 3: 0.2}})
+        text = "snr_db,scheme,device_id,per\n10,fdma,1,0.1\n10,fdma,3,0.2\n"
+        with pytest.raises(ValueError, match=r"incomplete device set for \(10.0 dB, fdma\)"):
+            load_per_table(_write(tmp_path, text))
+
     def test_read_only(self):
         table = single_point_table(make_per_vector([0.1]))
         with pytest.raises(TypeError):
