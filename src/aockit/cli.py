@@ -16,6 +16,7 @@ success and nonzero with a one-line diagnostic on any error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .domain import PerVector, SchemeKind, TimingModel, make_per_vector
@@ -51,23 +52,31 @@ _PHY_FLAGS = (
 )
 
 
+def _tokens(text: str, sep: str = ",") -> list[str]:
+    # the one rule for every list flag: empty tokens are skipped, so a
+    # trailing separator is harmless
+    return [tok.strip() for tok in text.split(sep) if tok.strip()]
+
+
 def _parse_probs(text: str) -> PerVector:
     try:
-        values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        values = [float(tok) for tok in _tokens(text)]
     except ValueError:
         raise ValueError(f"invalid --p value {text!r}") from None
+    if not values:
+        raise ValueError(f"invalid --p value {text!r}")
     return make_per_vector(values)
 
 
 def _parse_order(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(tok) for tok in text.split(",") if tok.strip() != "")
+        return tuple(int(tok) for tok in _tokens(text))
     except ValueError:
         raise ValueError(f"invalid order {text!r}") from None
 
 
 def _parse_orders(text: str) -> list[tuple[int, ...]]:
-    orders = [_parse_order(part) for part in text.split(";") if part.strip() != ""]
+    orders = [_parse_order(part) for part in _tokens(text, ";")]
     if not orders:
         raise ValueError(f"invalid --orders value {text!r}")
     return orders
@@ -76,8 +85,11 @@ def _parse_orders(text: str) -> list[tuple[int, ...]]:
 def _parse_schemes(text: str | None) -> tuple[SchemeKind, ...]:
     if text is None:
         return _ALL_SCHEMES
+    tokens = _tokens(text)
+    if not tokens:
+        raise ValueError(f"invalid --scheme value {text!r}")
     return tuple(dict.fromkeys(
-        scheme for token in text.split(",") for scheme in SchemeKind.expand(token.strip())
+        scheme for token in tokens for scheme in SchemeKind.expand(token)
     ))
 
 
@@ -107,7 +119,10 @@ def _resolve_table(args, schemes=_ALL_SCHEMES) -> PerTable:
         table = single_point_table(_inline_p(args))
     else:
         raise ValueError("one of --per-table or --p is required")
-    return PerTable({key: p for key, p in table.vectors.items() if key[1] in schemes})
+    table = PerTable({key: p for key, p in table.vectors.items() if key[1] in schemes})
+    if not table.vectors:
+        raise ValueError(f"--scheme {args.scheme} matches no key of {args.per_table}")
+    return table
 
 
 def _resolve_timing(args, table) -> TimingModel:
@@ -117,6 +132,9 @@ def _resolve_timing(args, table) -> TimingModel:
     from the profile only when no flag replaces it."""
     if args.idealized and args.t_fd is not None:
         raise ValueError("--idealized and --t-fd are mutually exclusive")
+    for flag, value in (("--t-td", args.t_td), ("--t-fd", args.t_fd)):
+        if value is not None and not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{flag} must be finite and > 0, got {value!r}")
     counts = table.device_counts((SchemeKind.FDMA,))
     if len(counts) > 1 and args.t_fd is None:
         raise ValueError(
@@ -151,7 +169,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     table = _resolve_table(args)
-    modes = tuple(tok.strip() for tok in args.modes.split(",") if tok.strip())
+    modes = tuple(_tokens(args.modes))
     rows = run_sweep(table, _resolve_timing(args, table), modes=modes,
                      horizon=args.horizon, seed=args.seed)
     emit_rows(rows, args.out)

@@ -95,9 +95,6 @@ class PerVector:
     def n(self) -> int:
         return len(self.probs)
 
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.probs, dtype=float)
-
     def permuted(self, order: tuple[int, ...]) -> "PerVector":
         """PerVector seen in transmission order: entry j is the PER of the
         device transmitting j-th.  `order` is a permutation of 1..N."""

@@ -8,6 +8,17 @@ device order), from a PCG64 generator seeded by SimConfig.seed.  That
 convention pins the seed-to-trace mapping, so identical configs give
 bit-identical results; the generator name travels in SimResult.rng_name.
 
+Draws come in chunks of _CHUNK uniforms, and each kernel holds one chunk
+(plus at most N - 1 carried draws) at a time, never the whole horizon.
+The kernels differ in how they walk the same draws:
+
+  TDMA-NR  attempt jumps: vectorised passes find where each possible
+           attempt start would abort, and a Python walk visits only the
+           attempts, not the slots;
+  TDMA-R   a per-slot Python loop over each chunk's draws as a list;
+  FDMA     fully vectorised: a round is an (N,) row of draws, and the
+           collections are the rows in which every device succeeds.
+
 ACK and feedback are instantaneous and error-free inside the slot
 abstraction; MAC overhead lives entirely in TimingModel.  The horizon
 counts slots (TDMA) or rounds (FDMA) and any collection still in progress
@@ -36,7 +47,8 @@ __all__ = ["RNG_NAME", "SimConfig", "SimResult", "simulate", "simulate_ms"]
 
 RNG_NAME = "PCG64"
 
-_CHUNK = 1 << 16
+_CHUNK = 1 << 16     # uniforms drawn per chunk
+_DENSE = 16          # leading TDMA-NR devices resolved by vectorised passes
 
 # Student-t 97.5% quantiles for 1..19 degrees of freedom: the batch-means
 # CI uses at most 20 batches.  Each entry is the float scipy.stats.t.ppf
@@ -128,7 +140,7 @@ def simulate(config: SimConfig) -> SimResult:
     """
     rng = np.random.Generator(np.random.PCG64(config.seed))
     if config.scheme is SchemeKind.FDMA:
-        times, ages = _run_fdma(config.p.as_array(), config.horizon, rng)
+        times, ages = _run_fdma(config.p.probs, config.horizon, rng)
         unit = "rounds"
     else:
         probs = config.effective_per().probs
@@ -139,7 +151,7 @@ def simulate(config: SimConfig) -> SimResult:
         unit = "slots"
     if len(times) < 2:
         raise ValueError("insufficient collections")
-    trace = AocTrace(np.asarray(times), np.asarray(ages), unit)
+    trace = AocTrace(times, ages, unit)
     return SimResult(
         trace=trace,
         avg_aoc=integrate_trace(trace),
@@ -166,7 +178,8 @@ def simulate_ms(config: SimConfig, timing: TimingModel) -> SimResult:
 
 def _uniform_chunks(rng: np.random.Generator, count: int):
     # yields the count uniforms as float lists of up to _CHUNK each, so the
-    # pure-Python slot loops iterate plain lists, not a per-float generator
+    # pure-Python TDMA-R slot loop iterates plain lists, not a per-float
+    # generator
     remaining = count
     while remaining > 0:
         m = min(_CHUNK, remaining)
@@ -174,29 +187,55 @@ def _uniform_chunks(rng: np.random.Generator, count: int):
         remaining -= m
 
 
-def _run_tdma_nr(probs, horizon: int, rng) -> tuple[list, list]:
+def _run_tdma_nr(probs, horizon: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    # Attempt-jump kernel.  An attempt starting at slot s draws u[s + k] for
+    # device k and aborts at the first k with u[s + k] < p_k, so the next
+    # attempt starts at s + k + 1; otherwise it collects at s + N and the
+    # next attempt starts there.  Vectorised passes give every start in the
+    # chunk its abort step for the first _DENSE devices, and a Python walk
+    # visits only the attempt starts, checking the rare attempts that pass
+    # all _DENSE one slice at a time.  Starts whose N draws do not all fit
+    # in the chunk carry over with their draws into the next chunk; those
+    # left at the horizon could not collect before it.
     n = len(probs)
-    times: list[float] = []
-    ages: list[float] = []
-    pos = 0      # device transmitting this slot (0-based)
-    start = 0    # slot index at which the current batch was generated
-    t = 0
-    for chunk in _uniform_chunks(rng, horizon):
-        for u in chunk:
-            if u < probs[pos]:
-                # decode failure: abort the round, fresh packets next slot
-                pos = 0
-                start = t + 1
-            else:
-                pos += 1
-                if pos == n:
-                    # full collection at the end of this slot
-                    times.append(float(t + 1))
-                    ages.append(float(t + 1 - start))
-                    pos = 0
-                    start = t + 1
-            t += 1
-    return times, ages
+    dense = min(n, _DENSE)
+    long_tail = n > dense
+    rest = np.asarray(probs[dense:])
+    ends = []      # collection end slots, one float array per chunk
+    carry = np.empty(0)
+    base = 0       # slot index of buf[0]
+    remaining = horizon
+    while remaining > 0:
+        m = min(_CHUNK, remaining)
+        remaining -= m
+        buf = np.concatenate((carry, rng.random(m)))
+        stop = buf.size - n + 1     # starts whose attempt fits in buf
+        s = 0
+        starts = []
+        if stop > 0:
+            fail = np.zeros(stop, np.uint8)
+            # descending k, so the first failing device's step is kept
+            for k in range(dense - 1, -1, -1):
+                np.putmask(fail, buf[k:k + stop] < probs[k], k + 1)
+            steps = memoryview(fail)    # Python ints without a tolist copy
+            while s < stop:
+                f = steps[s]
+                if f:
+                    s += f
+                    continue
+                if long_tail:
+                    hit = buf[s + dense:s + n] < rest
+                    k = int(hit.argmax())
+                    if hit[k]:
+                        s += dense + k + 1
+                        continue
+                starts.append(s)
+                s += n
+        ends.append(np.array(starts, dtype=float) + (base + n))
+        carry = buf[s:]
+        base += s
+    times = np.concatenate(ends)
+    return times, np.full(times.size, float(n))
 
 
 def _run_tdma_r(probs, horizon: int, rng) -> tuple[list, list]:
@@ -223,20 +262,19 @@ def _run_tdma_r(probs, horizon: int, rng) -> tuple[list, list]:
     return times, ages
 
 
-def _run_fdma(probs, horizon: int, rng) -> tuple[list, list]:
-    n = probs.size
-    times: list[float] = []
-    ages: list[float] = []
+def _run_fdma(probs, horizon: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    n = len(probs)
+    p = np.array(probs)
+    hits = []
     done = 0
     chunk = max(1, _CHUNK // n)
     while done < horizon:
         m = min(chunk, horizon - done)
         u = rng.random((m, n))   # row-major: device draws in slot order
-        hits = np.flatnonzero((u >= probs).all(axis=1))
-        times.extend((hits + (done + 1)).tolist())
-        ages.extend([1.0] * hits.size)
+        hits.append(np.flatnonzero((u >= p).all(axis=1)) + (done + 1))
         done += m
-    return times, ages
+    times = np.concatenate(hits).astype(float)
+    return times, np.ones(times.size)
 
 
 def _batch_means_ci(trace: AocTrace) -> float:

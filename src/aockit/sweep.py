@@ -109,7 +109,8 @@ def load_per_table(path) -> PerTable:
     Expected header: snr_db,scheme,device_id,per.  Scheme tokens are
     tdma-nr, tdma-r and fdma; the shorthand tdma applies one row to both
     TDMA schemes.  Every (snr_db, scheme) key must list devices 1..N once
-    each.  Parse errors and duplicate devices name the offending line.
+    each.  Parse errors and duplicate devices name the offending line; a
+    table without rows is an error too.
     """
     grouped: dict[tuple[float, SchemeKind], dict[int, float]] = {}
     with open(path, newline="", encoding="utf-8") as fh:
@@ -157,6 +158,8 @@ def load_per_table(path) -> PerTable:
                     raise ValueError(f"duplicate device {device} for "
                                      f"({snr} dB, {scheme.token}) at line {line}")
                 devices[device] = per
+    if not grouped:
+        raise ValueError(f"no PER rows in {path}")
     vectors = {}
     for (snr, scheme), devices in grouped.items():
         n = len(devices)

@@ -132,6 +132,20 @@ class TestTheory:
         rows = out.splitlines()[1:]
         assert len(rows) == 1 and rows[0].startswith("10.0,fdma,theory,")
 
+    def test_empty_result_is_an_error(self, tmp_path, capsys):
+        tdma_only = tmp_path / "tdma.csv"
+        tdma_only.write_text("snr_db,scheme,device_id,per\n10,tdma,1,0.1\n",
+                             encoding="utf-8")
+        code, out, err = _run(capsys, ["theory", "--per-table", str(tdma_only),
+                                       "--scheme", "fdma"])
+        assert (code, out) == (2, "")
+        assert err == f"aockit: --scheme fdma matches no key of {tdma_only}\n"
+        header_only = tmp_path / "empty.csv"
+        header_only.write_text("snr_db,scheme,device_id,per\n", encoding="utf-8")
+        for argv in (["theory"], ["sweep", "--horizon", "100"]):
+            code, out, err = _run(capsys, argv + ["--per-table", str(header_only)])
+            assert (code, out, err) == (2, "", f"aockit: no PER rows in {header_only}\n")
+
     def test_tdma_filter_skips_the_fdma_split(self, tmp_path, capsys):
         # FDMA keys at N = 5 cannot be split, but --scheme tdma drops them
         path = tmp_path / "per.csv"
@@ -233,6 +247,17 @@ class TestTimingFlags:
         code, _, err = _run(capsys, ["theory", "--per-table", str(path), "--t-fd", "0.2"])
         assert code == 0 and err == ""
 
+    @pytest.mark.parametrize("flag,value,shown", [
+        ("--t-td", "0", "0.0"),
+        ("--t-td", "nan", "nan"),
+        ("--t-fd", "-1", "-1.0"),
+        ("--t-fd", "inf", "inf"),
+    ])
+    def test_bad_duration_names_the_flag(self, capsys, flag, value, shown):
+        code, out, err = _run(capsys, ["theory", "--p", "0.1", flag, value])
+        assert (code, out) == (2, "")
+        assert err == f"aockit: {flag} must be finite and > 0, got {shown}\n"
+
     def test_tdma_keys_do_not_set_the_fdma_round(self, tmp_path, capsys):
         # TDMA keys at N = 5 beside FDMA keys at N = 2: the round is N = 2's
         path = tmp_path / "per.csv"
@@ -242,6 +267,34 @@ class TestTimingFlags:
         code, out, err = _run(capsys, ["theory", "--per-table", str(path)])
         assert code == 0 and err == ""
         assert "10.0,fdma,theory,0.144,0.0,0" in out.splitlines()
+
+
+class TestListFlags:
+    """One rule for every comma-list flag: empty tokens are skipped, and a
+    list with no tokens is an error that names the flag."""
+
+    @pytest.mark.parametrize("trailing,plain", [
+        (["theory", "--p", "0.1,0.2,"], ["theory", "--p", "0.1,0.2"]),
+        (["theory", "--p", "0.1,,0.2", "--scheme", "fdma,"],
+         ["theory", "--p", "0.1,0.2", "--scheme", "fdma"]),
+        (["theory", "--p", "0.1,0.2", "--scheme", " tdma , "],
+         ["theory", "--p", "0.1,0.2", "--scheme", "tdma"]),
+        (["simulate", "--scheme", "tdma-r", "--p", "0.1,0.2", "--order", "2,1,",
+          "--horizon", "500"],
+         ["simulate", "--scheme", "tdma-r", "--p", "0.1,0.2", "--order", "2,1",
+          "--horizon", "500"]),
+    ], ids=["p", "scheme", "scheme-spaces", "order"])
+    def test_empty_tokens_are_skipped(self, capsys, trailing, plain):
+        assert _run(capsys, trailing) == _run(capsys, plain)
+        assert _run(capsys, plain)[0] == 0
+
+    @pytest.mark.parametrize("flag,value", [("--scheme", ","), ("--scheme", " "),
+                                            ("--p", ",")])
+    def test_no_tokens_names_the_flag(self, capsys, flag, value):
+        argv = ["theory", "--p", "0.1", "--scheme", "fdma"]
+        argv[argv.index(flag) + 1] = value
+        code, out, err = _run(capsys, argv)
+        assert (code, out, err) == (2, "", f"aockit: invalid {flag} value {value!r}\n")
 
 
 class TestDeviceCountFlag:

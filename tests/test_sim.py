@@ -1,8 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from aockit import sim
 from aockit.analysis import (
     fdma_avg_aoc_rounds,
     fdma_gamma,
@@ -55,6 +59,97 @@ class TestDeterminism:
         assert not np.array_equal(a.trace.times, b.trace.times)
 
 
+def _draws(seed, count, n=None):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return rng.random(count) if n is None else rng.random((count, n))
+
+
+# The per-slot reference loops: the draw convention written out slot by
+# slot, one uniform per transmission attempt.  Each returns (times, ages).
+
+def _tdma_nr_reference(probs, u):
+    n = len(probs)
+    times, ages = [], []
+    pos = start = 0
+    for t, x in enumerate(u.tolist()):
+        if x < probs[pos]:
+            pos, start = 0, t + 1
+        else:
+            pos += 1
+            if pos == n:
+                times.append(t + 1.0)
+                ages.append(float(t + 1 - start))
+                pos, start = 0, t + 1
+    return np.array(times), np.array(ages)
+
+
+def _tdma_r_reference(probs, u):
+    n = len(probs)
+    times, ages = [], []
+    pos = gen = 0
+    for t, x in enumerate(u.tolist()):
+        if pos == 0:
+            gen = t
+        if x >= probs[pos]:
+            pos += 1
+            if pos == n:
+                times.append(t + 1.0)
+                ages.append(float(t + 1 - gen))
+                pos = 0
+    return np.array(times), np.array(ages)
+
+
+def _fdma_reference(probs, u):
+    # u holds one row of N device draws per round
+    hit = np.flatnonzero((u >= np.array(probs)).all(axis=1)) + 1.0
+    return hit, np.ones(hit.size)
+
+
+_KERNELS = {
+    SchemeKind.TDMA_NR: (sim._run_tdma_nr, _tdma_nr_reference),
+    SchemeKind.TDMA_R: (sim._run_tdma_r, _tdma_r_reference),
+    SchemeKind.FDMA: (sim._run_fdma, _fdma_reference),
+}
+
+
+def _reference_trace(scheme, probs, horizon, seed):
+    n = len(probs) if scheme is SchemeKind.FDMA else None
+    return _KERNELS[scheme][1](probs, _draws(seed, horizon, n))
+
+
+def _kernel_trace(scheme, probs, horizon, seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    times, ages = _KERNELS[scheme][0](probs, horizon, rng)
+    return np.asarray(times, dtype=float), np.asarray(ages, dtype=float)
+
+
+def _chunk_units(scheme, n):
+    # slots (TDMA) or rounds (FDMA) drawn per chunk
+    return max(1, sim._CHUNK // n) if scheme is SchemeKind.FDMA else sim._CHUNK
+
+
+def _per_vector(kind, n):
+    if kind == "zero":
+        return (0.0,) * n
+    rng = np.random.default_rng(n)
+    if kind == "light":    # long attempts: most pass the first _DENSE devices
+        return tuple(float(x) for x in rng.uniform(0.0, 0.03, n))
+    # "mixed": a lossless device, a 0.99 device and the rest in [0, 0.5)
+    probs = [float(x) for x in rng.uniform(0.0, 0.5, n)]
+    probs[0] = 0.0
+    probs[-1] = 0.99 if n > 1 else probs[-1]
+    return tuple(probs)
+
+
+_HORIZONS = {
+    "below-n": lambda chunk, n: max(1, n - 1),
+    "chunk-1": lambda chunk, n: chunk - 1,
+    "chunk": lambda chunk, n: chunk,
+    "chunk+1": lambda chunk, n: chunk + 1,
+    "3chunk+17": lambda chunk, n: 3 * chunk + 17,
+}
+
+
 class TestDrawConvention:
     """The seed-to-trace mapping is one uniform per transmission attempt in
     slot order; these replays pin it across chunk boundaries."""
@@ -62,52 +157,70 @@ class TestDrawConvention:
     def test_tdma_nr_replay(self):
         probs = (0.5, 0.3)
         horizon, seed = 70_000, 424242
-        u = np.random.Generator(np.random.PCG64(seed)).random(horizon)
-        times, ages = [], []
-        pos = start = 0
-        for t in range(horizon):
-            if u[t] < probs[pos]:
-                pos, start = 0, t + 1
-            else:
-                pos += 1
-                if pos == 2:
-                    times.append(t + 1.0)
-                    ages.append(float(t + 1 - start))
-                    pos, start = 0, t + 1
+        times, ages = _tdma_nr_reference(probs, _draws(seed, horizon))
         res = simulate(SimConfig(SchemeKind.TDMA_NR, make_per_vector(probs),
                                  horizon, seed))
-        assert np.array_equal(res.trace.times, np.array(times))
-        assert np.array_equal(res.trace.ages, np.array(ages))
+        assert np.array_equal(res.trace.times, times)
+        assert np.array_equal(res.trace.ages, ages)
 
     def test_tdma_r_replay(self):
         probs = (0.2, 0.6, 0.4)
         horizon, seed = 70_000, 7
-        u = np.random.Generator(np.random.PCG64(seed)).random(horizon)
-        times, ages = [], []
-        pos = gen = 0
-        for t in range(horizon):
-            if pos == 0:
-                gen = t
-            if u[t] >= probs[pos]:
-                pos += 1
-                if pos == 3:
-                    times.append(t + 1.0)
-                    ages.append(float(t + 1 - gen))
-                    pos = 0
+        times, ages = _tdma_r_reference(probs, _draws(seed, horizon))
         res = simulate(SimConfig(SchemeKind.TDMA_R, make_per_vector(probs),
                                  horizon, seed))
-        assert np.array_equal(res.trace.times, np.array(times))
-        assert np.array_equal(res.trace.ages, np.array(ages))
+        assert np.array_equal(res.trace.times, times)
+        assert np.array_equal(res.trace.ages, ages)
 
     def test_fdma_replay_row_major(self):
-        probs = np.array([0.3, 0.1, 0.2])
+        probs = (0.3, 0.1, 0.2)
         horizon, seed = 30_000, 55
-        u = np.random.Generator(np.random.PCG64(seed)).random((horizon, 3))
-        hit = np.flatnonzero((u >= probs).all(axis=1)) + 1.0
+        times, ages = _fdma_reference(probs, _draws(seed, horizon, 3))
         res = simulate(SimConfig(SchemeKind.FDMA, make_per_vector(probs),
                                  horizon, seed))
-        assert np.array_equal(res.trace.times, hit)
+        assert np.array_equal(res.trace.times, times)
         assert np.all(res.trace.ages == 1.0)
+
+    @pytest.mark.parametrize("horizon", list(_HORIZONS))
+    @pytest.mark.parametrize("per", ["zero", "light", "mixed"])
+    @pytest.mark.parametrize("n", [1, 2, 6, 17, 48])
+    @pytest.mark.parametrize("scheme", list(SchemeKind), ids=lambda k: k.token)
+    def test_kernel_matches_reference(self, scheme, n, per, horizon):
+        probs = _per_vector(per, n)
+        chunk = _chunk_units(scheme, n)
+        h = _HORIZONS[horizon](chunk, n)
+        seed = 1000 * n + h
+        times, ages = _kernel_trace(scheme, probs, h, seed)
+        want_times, want_ages = _reference_trace(scheme, probs, h, seed)
+        assert np.array_equal(times, want_times)
+        assert np.array_equal(ages, want_ages)
+        if scheme is not SchemeKind.FDMA and (per, horizon) == ("zero", "3chunk+17") \
+                and chunk % n:
+            # some collected attempt straddles a chunk boundary
+            assert np.any((times - n) % chunk > times % chunk)
+
+    @settings(max_examples=150, deadline=None)
+    @given(scheme=st.sampled_from(list(SchemeKind)),
+           probs=st.lists(st.sampled_from([0.0, 0.01, 0.1, 0.3, 0.5, 0.9, 0.99]),
+                          min_size=1, max_size=6),
+           horizon=st.integers(1, 300),
+           seed=st.integers(0, 2 ** 64 - 1),
+           chunk=st.integers(1, 40),
+           dense=st.integers(1, 4))
+    def test_simulate_matches_reference(self, scheme, probs, horizon, seed, chunk, dense):
+        # tiny chunks and dense widths put chunk boundaries and slice-checked
+        # attempt tails inside short horizons
+        want_times, want_ages = _reference_trace(scheme, probs, horizon, seed)
+        config = SimConfig(scheme, make_per_vector(probs), horizon, seed)
+        with mock.patch.object(sim, "_CHUNK", chunk), \
+                mock.patch.object(sim, "_DENSE", dense):
+            if want_times.size < 2:
+                with pytest.raises(ValueError, match="insufficient collections"):
+                    simulate(config)
+                return
+            res = simulate(config)
+        assert np.array_equal(res.trace.times, want_times)
+        assert np.array_equal(res.trace.ages, want_ages)
 
 
 class TestTraceProperties:
