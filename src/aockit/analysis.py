@@ -156,6 +156,20 @@ def tdma_nr_avg_aoc_slots(p: PerVector) -> float:
     return _in_range(avg, SchemeKind.TDMA_NR, p.n)
 
 
+def _tdma_r_terms(probs) -> tuple[list, float, float, float]:
+    """a_k = 1 / (1 - p_k), T_1, T_2 (0.0 at N = 1) and E[T_1^2] of TDMA-R,
+    in one O(N) pass; only tdma_r_moments adds the other suffix sums."""
+    a = [1.0 / (1.0 - pi) for pi in probs]
+    t1 = math.fsum(a)
+    t2 = math.fsum(a[1:])
+    second_t1 = (
+        (1.0 + probs[0]) / (1.0 - probs[0]) * t1
+        + t2 * t2
+        + math.fsum(x * x for x in a[1:])
+    )
+    return a, t1, t2, second_t1
+
+
 def tdma_r_moments(p: PerVector) -> HittingMoments:
     """Hitting-time moments for TDMA with retransmissions.
 
@@ -176,20 +190,9 @@ def tdma_r_moments(p: PerVector) -> HittingMoments:
     correctly rounded exact sum, so the moments are bit-identical under
     any reordering of devices 2..N.
     """
-    probs = p.probs
-    n = p.n
-    a = [1.0 / (1.0 - pi) for pi in probs]
-    first = tuple(math.fsum(a[i:]) for i in range(n))
-    tail = a[1:]
-    t1 = first[0]
-    tail_sum = math.fsum(tail)
-    second_t1 = (
-        (1.0 + probs[0]) / (1.0 - probs[0]) * t1
-        + tail_sum * tail_sum
-        + math.fsum(x * x for x in tail)
-    )
-    t2s = first[1] if n >= 2 else 0.0
-    return HittingMoments(first=first, second_t1=second_t1, t2s=t2s)
+    a, t1, t2, second_t1 = _tdma_r_terms(p.probs)
+    first = (t1, t2, *(math.fsum(a[i:]) for i in range(2, p.n)))[:p.n]
+    return HittingMoments(first=first, second_t1=second_t1, t2s=t2)
 
 
 def tdma_r_avg_aoc_slots(p: PerVector) -> float:
@@ -201,8 +204,8 @@ def tdma_r_avg_aoc_slots(p: PerVector) -> float:
 
         avg = 1 + T_2 + E[T_1^2] / (2 E[T_1]).
     """
-    mom = tdma_r_moments(p)
-    return 1.0 + mom.t2s + mom.second_t1 / (2.0 * mom.first[0])
+    _, t1, t2, second_t1 = _tdma_r_terms(p.probs)
+    return 1.0 + t2 + second_t1 / (2.0 * t1)
 
 
 def fdma_gamma(p: PerVector) -> float:
@@ -236,11 +239,11 @@ def fdma_avg_aoc_rounds(p: PerVector) -> float:
 def avg_aoc_ms(scheme: SchemeKind, p: PerVector, timing: TimingModel) -> float:
     """Average AoC in milliseconds under the given slot/round durations."""
     if scheme is SchemeKind.TDMA_NR:
-        avg = tdma_nr_avg_aoc_slots(p) * timing.tdma_slot_ms
+        units = tdma_nr_avg_aoc_slots(p)
     elif scheme is SchemeKind.TDMA_R:
-        avg = tdma_r_avg_aoc_slots(p) * timing.tdma_slot_ms
+        units = tdma_r_avg_aoc_slots(p)
     elif scheme is SchemeKind.FDMA:
-        avg = fdma_avg_aoc_rounds(p) * timing.fdma_round_ms
+        units = fdma_avg_aoc_rounds(p)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
-    return _in_range(avg, scheme, p.n)
+    return _in_range(units * timing.unit_ms(scheme), scheme, p.n)

@@ -37,19 +37,19 @@ from .timing import ack_duration_ms, status_duration_ms, tdma_slot_ms
 
 _ALL_SCHEMES = tuple(SchemeKind)
 
-# `aockit timing` flag -> the PhyProfile field it overrides
-_PHY_FLAGS = (
-    ("--bandwidth-hz", "bandwidth_hz"),
-    ("--preamble-samples", "preamble_samples"),
-    ("--payload-bits", "payload_bits"),
-    ("--ack-payload-bits", "ack_payload_bits"),
-    ("--code-rate-inv", "code_rate_inv"),
-    ("--subcarriers", "data_subcarriers"),
-    ("--fft-size", "fft_size"),
-    ("--cp-samples", "cp_samples"),
-    ("--gi-ms", "gi_ms"),
-    ("--n", "num_devices"),
-)
+# PhyProfile field -> the `aockit timing` flag that overrides it
+_PHY_FLAGS = {
+    "bandwidth_hz": "--bandwidth-hz",
+    "preamble_samples": "--preamble-samples",
+    "payload_bits": "--payload-bits",
+    "ack_payload_bits": "--ack-payload-bits",
+    "code_rate_inv": "--code-rate-inv",
+    "data_subcarriers": "--subcarriers",
+    "fft_size": "--fft-size",
+    "cp_samples": "--cp-samples",
+    "gi_ms": "--gi-ms",
+    "num_devices": "--n",
+}
 
 
 def _tokens(text: str, sep: str = ",") -> list[str]:
@@ -186,10 +186,13 @@ def _cmd_orders(args) -> int:
 
 
 def _cmd_timing(args) -> int:
-    phy = PhyProfile(**{
-        field: getattr(args, field) for _, field in _PHY_FLAGS
-        if getattr(args, field) is not None
-    })
+    try:
+        phy = PhyProfile(**{field: getattr(args, field) for field in _PHY_FLAGS
+                            if getattr(args, field) is not None})
+    except ValueError as exc:
+        # the message names PhyProfile fields; report the flags that set them
+        words = str(exc).split(" ")
+        raise ValueError(" ".join(_PHY_FLAGS.get(w, w) for w in words)) from None
     split = phy.fdma_split()
     records = [
         ("status", status_duration_ms(phy)),
@@ -276,7 +279,7 @@ def _build_parser() -> argparse.ArgumentParser:
     orders.set_defaults(func=_cmd_orders)
 
     timing = sub.add_parser("timing", help="slot/round durations from PHY parameters")
-    for flag, field in _PHY_FLAGS:
+    for field, flag in _PHY_FLAGS.items():
         default = getattr(PhyProfile, field)
         timing.add_argument(flag, dest=field, type=type(default), default=None,
                             metavar=flag[2:].upper().replace("-", "_"),

@@ -145,6 +145,10 @@ class TimingModel:
             if not (math.isfinite(v) and v > 0.0):
                 raise ValueError(f"{name} must be finite and > 0, got {v!r}")
 
+    def unit_ms(self, scheme: SchemeKind) -> float:
+        """An FDMA round for FDMA, a TDMA slot for the TDMA schemes."""
+        return self.fdma_round_ms if scheme is SchemeKind.FDMA else self.tdma_slot_ms
+
 
 @dataclass(frozen=True)
 class HittingMoments:

@@ -8,16 +8,16 @@ device order), from a PCG64 generator seeded by SimConfig.seed.  That
 convention pins the seed-to-trace mapping, so identical configs give
 bit-identical results; the generator name travels in SimResult.rng_name.
 
-Draws come in chunks of _CHUNK uniforms, and each kernel holds one chunk
-(plus at most N - 1 carried draws) at a time, never the whole horizon.
-The kernels differ in how they walk the same draws:
+All draws come from one stream, _draws, in arrays of at most _CHUNK
+uniforms.  Each kernel holds one array (plus at most N - 1 carried draws)
+at a time, never the whole horizon, and walks the draws its own way:
 
   TDMA-NR  attempt jumps: vectorised passes find where each possible
            attempt start would abort, and a Python walk visits only the
            attempts, not the slots;
-  TDMA-R   a per-slot Python loop over each chunk's draws as a list;
-  FDMA     fully vectorised: a round is an (N,) row of draws, and the
-           collections are the rows in which every device succeeds.
+  TDMA-R   a per-slot Python loop over each array's draws as a list;
+  FDMA     fully vectorised: each array is reshaped to rounds of N draws,
+           and the collections are the rows in which every device succeeds.
 
 ACK and feedback are instantaneous and error-free inside the slot
 abstraction; MAC overhead lives entirely in TimingModel.  The horizon
@@ -118,7 +118,6 @@ class SimResult:
     avg_aoc: float
     collections: int
     ci_halfwidth: float
-    rng_name: str = RNG_NAME
 
     def __post_init__(self):
         if self.collections != len(self.trace):
@@ -130,6 +129,11 @@ class SimResult:
         if math.isnan(self.ci_halfwidth) or self.ci_halfwidth < 0.0:
             raise ValueError(f"ci_halfwidth must be >= 0, got {self.ci_halfwidth!r}")
 
+    @property
+    def rng_name(self) -> str:
+        """The bit generator behind every trace, RNG_NAME."""
+        return RNG_NAME
+
 
 def simulate(config: SimConfig) -> SimResult:
     """Run one seeded simulation and return trace, average and 95% CI.
@@ -138,17 +142,9 @@ def simulate(config: SimConfig) -> SimResult:
     fewer than two complete collections, whether because the horizon is
     short or because the error rates starve the system.
     """
+    kernel, unit = _KERNELS[config.scheme]
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    if config.scheme is SchemeKind.FDMA:
-        times, ages = _run_fdma(config.p.probs, config.horizon, rng)
-        unit = "rounds"
-    else:
-        probs = config.effective_per().probs
-        if config.scheme is SchemeKind.TDMA_NR:
-            times, ages = _run_tdma_nr(probs, config.horizon, rng)
-        else:
-            times, ages = _run_tdma_r(probs, config.horizon, rng)
-        unit = "slots"
+    times, ages = kernel(config.effective_per().probs, config.horizon, rng)
     if len(times) < 2:
         raise ValueError("insufficient collections")
     trace = AocTrace(times, ages, unit)
@@ -163,28 +159,23 @@ def simulate(config: SimConfig) -> SimResult:
 def simulate_ms(config: SimConfig, timing: TimingModel) -> SimResult:
     """simulate() with the trace and statistics scaled to milliseconds."""
     base = simulate(config)
-    if config.scheme is SchemeKind.FDMA:
-        factor = timing.fdma_round_ms
-    else:
-        factor = timing.tdma_slot_ms
+    factor = timing.unit_ms(config.scheme)
     return SimResult(
         trace=base.trace.scaled(factor, "ms"),
         avg_aoc=base.avg_aoc * factor,
         collections=base.collections,
         ci_halfwidth=base.ci_halfwidth * factor,
-        rng_name=base.rng_name,
     )
 
 
-def _uniform_chunks(rng: np.random.Generator, count: int):
-    # yields the count uniforms as float lists of up to _CHUNK each, so the
-    # pure-Python TDMA-R slot loop iterates plain lists, not a per-float
-    # generator
-    remaining = count
-    while remaining > 0:
-        m = min(_CHUNK, remaining)
-        yield rng.random(m).tolist()
-        remaining -= m
+def _draws(rng: np.random.Generator, count: int, step: int = 1):
+    # the one draw stream: count uniforms in draw order, as arrays of at
+    # most _CHUNK draws (at least step), each size a multiple of step
+    size = max(step, _CHUNK - _CHUNK % step)
+    while count > 0:
+        k = min(size, count)
+        yield rng.random(k)
+        count -= k
 
 
 def _run_tdma_nr(probs, horizon: int, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -204,11 +195,8 @@ def _run_tdma_nr(probs, horizon: int, rng) -> tuple[np.ndarray, np.ndarray]:
     ends = []      # collection end slots, one float array per chunk
     carry = np.empty(0)
     base = 0       # slot index of buf[0]
-    remaining = horizon
-    while remaining > 0:
-        m = min(_CHUNK, remaining)
-        remaining -= m
-        buf = np.concatenate((carry, rng.random(m)))
+    for chunk in _draws(rng, horizon):
+        buf = np.concatenate((carry, chunk))
         stop = buf.size - n + 1     # starts whose attempt fits in buf
         s = 0
         starts = []
@@ -245,8 +233,8 @@ def _run_tdma_r(probs, horizon: int, rng) -> tuple[list, list]:
     pos = 0    # device transmitting this slot (0-based)
     gen = 0    # slot index of the batch generation
     t = 0
-    for chunk in _uniform_chunks(rng, horizon):
-        for u in chunk:
+    for chunk in _draws(rng, horizon):
+        for u in chunk.tolist():
             if pos == 0:
                 # first device (re)generates at the start of its attempt slot,
                 # so a failure here repeats with a fresh batch next slot
@@ -267,14 +255,20 @@ def _run_fdma(probs, horizon: int, rng) -> tuple[np.ndarray, np.ndarray]:
     p = np.array(probs)
     hits = []
     done = 0
-    chunk = max(1, _CHUNK // n)
-    while done < horizon:
-        m = min(chunk, horizon - done)
-        u = rng.random((m, n))   # row-major: device draws in slot order
+    for chunk in _draws(rng, horizon * n, n):
+        u = chunk.reshape(-1, n)   # row-major: device draws in slot order
         hits.append(np.flatnonzero((u >= p).all(axis=1)) + (done + 1))
-        done += m
+        done += len(u)
     times = np.concatenate(hits).astype(float)
     return times, np.ones(times.size)
+
+
+# scheme -> (kernel, trace unit): TDMA counts slots, FDMA counts rounds
+_KERNELS = {
+    SchemeKind.TDMA_NR: (_run_tdma_nr, "slots"),
+    SchemeKind.TDMA_R: (_run_tdma_r, "slots"),
+    SchemeKind.FDMA: (_run_fdma, "rounds"),
+}
 
 
 def _batch_means_ci(trace: AocTrace) -> float:

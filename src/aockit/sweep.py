@@ -298,11 +298,7 @@ def default_order_patterns(n: int) -> list[tuple[int, ...]]:
     patterns = [tuple(range(1, n + 1)), (n,) + tuple(range(1, n))]
     if n >= 5:
         patterns.append((1, 2, 3, n) + tuple(range(4, n)))
-    unique: list[tuple[int, ...]] = []
-    for pattern in patterns:
-        if pattern not in unique:
-            unique.append(pattern)
-    return unique
+    return list(dict.fromkeys(patterns))
 
 
 def _fmt(value: float) -> str:

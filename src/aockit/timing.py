@@ -69,14 +69,13 @@ class PhyProfile:
         for name, v in ints.items():
             if not isinstance(v, int) or isinstance(v, bool):
                 raise ValueError(f"{name} must be an int, got {v!r}")
-        positive = ("preamble_samples", "payload_bits", "code_rate_inv",
-                    "data_subcarriers", "fft_size", "num_devices")
-        for name in positive:
-            if ints[name] <= 0:
-                raise ValueError(f"{name} must be > 0, got {ints[name]}")
-        # cp may be absent; a 0-bit ACK degenerates to a bare preamble
-        if self.cp_samples < 0 or self.ack_payload_bits < 0:
-            raise ValueError("cp_samples and ack_payload_bits must be >= 0")
+        for name, v in ints.items():
+            # cp may be absent; a 0-bit ACK degenerates to a bare preamble
+            if name in ("cp_samples", "ack_payload_bits"):
+                if v < 0:
+                    raise ValueError(f"{name} must be >= 0, got {v}")
+            elif v <= 0:
+                raise ValueError(f"{name} must be > 0, got {v}")
         if self.data_subcarriers > self.fft_size:
             raise ValueError(
                 f"data_subcarriers {self.data_subcarriers} exceeds "

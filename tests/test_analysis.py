@@ -221,6 +221,18 @@ class TestTdmaRAvg:
     def test_single_device(self):
         assert tdma_r_avg_aoc_slots(make_per_vector([0.5])) == pytest.approx(2.5, rel=REL)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(0.0, 0.999), min_size=1, max_size=256))
+    def test_direct_form_equals_moments(self, probs):
+        # the one-pass average is bit-identical to the moments-derived one,
+        # and the moments keep every suffix sum
+        p = make_per_vector(probs)
+        mom = tdma_r_moments(p)
+        want = 1.0 + mom.t2s + mom.second_t1 / (2.0 * mom.first[0])
+        assert tdma_r_avg_aoc_slots(p) == want
+        a = [1.0 / (1.0 - pi) for pi in probs]
+        assert mom.first == tuple(math.fsum(a[i:]) for i in range(p.n))
+
 
 class TestFdma:
     def test_gamma(self):

@@ -91,6 +91,24 @@ class TestTiming:
         assert code == 2
         assert err.startswith("aockit:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("flag,value,want", [
+        ("--bandwidth-hz", "0", "must be finite and > 0, got 0.0"),
+        ("--preamble-samples", "0", "must be > 0, got 0"),
+        ("--payload-bits", "0", "must be > 0, got 0"),
+        ("--ack-payload-bits", "-1", "must be >= 0, got -1"),
+        ("--code-rate-inv", "0", "must be > 0, got 0"),
+        ("--subcarriers", "0", "must be > 0, got 0"),
+        ("--fft-size", "0", "must be > 0, got 0"),
+        ("--cp-samples", "-1", "must be >= 0, got -1"),
+        ("--gi-ms", "-1", "must be finite and >= 0, got -1.0"),
+        ("--n", "0", "must be > 0, got 0"),
+        ("--subcarriers", "65", "65 exceeds --fft-size 64"),
+    ])
+    def test_bad_value_names_the_flag(self, capsys, flag, value, want):
+        code, out, err = _run(capsys, ["timing", flag, value])
+        assert (code, out) == (2, "")
+        assert err == f"aockit: {flag} {want}\n"
+
     def test_out_file(self, tmp_path, capsys):
         path = tmp_path / "t.csv"
         code, out, _ = _run(capsys, ["timing", "--out", str(path)])

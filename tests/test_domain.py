@@ -92,6 +92,13 @@ class TestTimingModel:
         with pytest.raises(ValueError):
             TimingModel(tdma_slot_ms=slot, fdma_round_ms=rnd)
 
+    def test_unit_ms_covers_every_scheme(self):
+        # TDMA counts slots, FDMA counts rounds
+        t = TimingModel(tdma_slot_ms=1.0, fdma_round_ms=2.0)
+        assert {k: t.unit_ms(k) for k in SchemeKind} == {
+            SchemeKind.TDMA_NR: 1.0, SchemeKind.TDMA_R: 1.0, SchemeKind.FDMA: 2.0,
+        }
+
 
 def _trace(events, unit="slots"):
     times = [t for t, _ in events]

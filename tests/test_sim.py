@@ -223,6 +223,21 @@ class TestDrawConvention:
         assert np.array_equal(res.trace.ages, want_ages)
 
 
+class TestDrawStream:
+    @pytest.mark.parametrize("count,step,chunk", [
+        (1, 1, 4), (10, 1, 4), (12, 3, 4), (12, 3, 2), (30, 6, 40), (7, 7, 1),
+    ])
+    def test_one_stream_in_draw_order(self, count, step, chunk):
+        # every array is a whole number of steps, at most _CHUNK draws unless
+        # one step is larger, and together they are the plain stream
+        with mock.patch.object(sim, "_CHUNK", chunk):
+            parts = list(sim._draws(np.random.Generator(np.random.PCG64(5)),
+                                    count, step))
+        assert all(p.size % step == 0 and 0 < p.size <= max(chunk, step)
+                   for p in parts)
+        assert np.array_equal(np.concatenate(parts), _draws(5, count))
+
+
 class TestTraceProperties:
     def test_nr_reset_age_is_always_n(self):
         res = simulate(SimConfig(SchemeKind.TDMA_NR, make_per_vector([0.2] * 3),
@@ -318,6 +333,16 @@ class TestErrors:
         with pytest.raises(ValueError, match="TDMA"):
             SimConfig(SchemeKind.FDMA, P_HALF, 100, 0, order=(2, 1))
 
+    def test_rng_name_is_read_only(self):
+        res = simulate(SimConfig(SchemeKind.FDMA, P_HALF, 100, 0))
+        assert res.rng_name == RNG_NAME == "PCG64"
+        with pytest.raises(AttributeError):
+            res.rng_name = "MT19937"
+        with pytest.raises(TypeError):
+            SimResult(trace=res.trace, avg_aoc=res.avg_aoc,
+                      collections=res.collections,
+                      ci_halfwidth=res.ci_halfwidth, rng_name="MT19937")
+
     def test_result_validation(self):
         res = simulate(SimConfig(SchemeKind.TDMA_NR, make_per_vector([0.0]), 10, 0))
         with pytest.raises(ValueError):
@@ -352,6 +377,11 @@ class TestSimulateMs:
         timing = TimingModel(tdma_slot_ms=1.0, fdma_round_ms=2.5)
         cfg = SimConfig(SchemeKind.FDMA, P_HALF, 10_000, 9)
         assert simulate_ms(cfg, timing).avg_aoc == 2.5 * simulate(cfg).avg_aoc
+        # and the TDMA schemes use the slot duration
+        timing = TimingModel(tdma_slot_ms=0.75, fdma_round_ms=2.5)
+        for scheme in (SchemeKind.TDMA_NR, SchemeKind.TDMA_R):
+            cfg = SimConfig(scheme, P_HALF, 10_000, 9)
+            assert simulate_ms(cfg, timing).avg_aoc == 0.75 * simulate(cfg).avg_aoc
 
 
 class TestQuantileTable:
