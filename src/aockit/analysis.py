@@ -133,8 +133,7 @@ def tdma_nr_moments(p: PerVector) -> HittingMoments:
             f"tdma-nr: hitting-time moments exceed float range (N = {p.n})"
         )
     first = tuple(ai + ri * t1 for ai, ri in zip(a[:-1], r))
-    t2s = first[1] if p.n >= 2 else 0.0
-    return HittingMoments(first=first, second_t1=second_t1, t2s=t2s)
+    return HittingMoments(first=first, second_t1=second_t1)
 
 
 def tdma_nr_avg_aoc_slots(p: PerVector) -> float:
@@ -192,7 +191,7 @@ def tdma_r_moments(p: PerVector) -> HittingMoments:
     """
     a, t1, t2, second_t1 = _tdma_r_terms(p.probs)
     first = (t1, t2, *(math.fsum(a[i:]) for i in range(2, p.n)))[:p.n]
-    return HittingMoments(first=first, second_t1=second_t1, t2s=t2)
+    return HittingMoments(first=first, second_t1=second_t1)
 
 
 def tdma_r_avg_aoc_slots(p: PerVector) -> float:

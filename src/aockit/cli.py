@@ -52,19 +52,20 @@ _PHY_FLAGS = {
 }
 
 
-def _tokens(text: str, sep: str = ",") -> list[str]:
+def _tokens(text: str, flag: str | None = None, sep: str = ",") -> list[str]:
     # the one rule for every list flag: empty tokens are skipped, so a
-    # trailing separator is harmless
-    return [tok.strip() for tok in text.split(sep) if tok.strip()]
+    # trailing separator is harmless, and a list with none names its flag
+    tokens = [tok.strip() for tok in text.split(sep) if tok.strip()]
+    if flag and not tokens:
+        raise ValueError(f"invalid {flag} value {text!r}")
+    return tokens
 
 
 def _parse_probs(text: str) -> PerVector:
     try:
-        values = [float(tok) for tok in _tokens(text)]
+        values = [float(tok) for tok in _tokens(text, "--p")]
     except ValueError:
         raise ValueError(f"invalid --p value {text!r}") from None
-    if not values:
-        raise ValueError(f"invalid --p value {text!r}")
     return make_per_vector(values)
 
 
@@ -76,21 +77,25 @@ def _parse_order(text: str) -> tuple[int, ...]:
 
 
 def _parse_orders(text: str) -> list[tuple[int, ...]]:
-    orders = [_parse_order(part) for part in _tokens(text, ";")]
-    if not orders:
-        raise ValueError(f"invalid --orders value {text!r}")
-    return orders
+    return [_parse_order(part) for part in _tokens(text, "--orders", ";")]
 
 
 def _parse_schemes(text: str | None) -> tuple[SchemeKind, ...]:
     if text is None:
         return _ALL_SCHEMES
-    tokens = _tokens(text)
-    if not tokens:
-        raise ValueError(f"invalid --scheme value {text!r}")
+    tokens = _tokens(text, "--scheme")
     return tuple(dict.fromkeys(
         scheme for token in tokens for scheme in SchemeKind.expand(token)
     ))
+
+
+def _parse_modes(text: str) -> tuple[str, ...]:
+    modes = tuple(_tokens(text, "--modes"))
+    for mode in modes:
+        if mode not in MODES:
+            raise ValueError(f"unknown --modes token {mode!r}, "
+                             f"expected one of {', '.join(MODES)}")
+    return modes
 
 
 def _inline_p(args) -> PerVector:
@@ -169,8 +174,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     table = _resolve_table(args)
-    modes = tuple(_tokens(args.modes))
-    rows = run_sweep(table, _resolve_timing(args, table), modes=modes,
+    timing = _resolve_timing(args, table)
+    rows = run_sweep(table, timing, modes=_parse_modes(args.modes),
                      horizon=args.horizon, seed=args.seed)
     emit_rows(rows, args.out)
     return 0

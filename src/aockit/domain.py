@@ -5,8 +5,8 @@ elapsed since the generation of the most recent *complete* set of status
 packets received from all devices.  It grows with unit slope and drops
 only when a full collection is delivered, producing a sawtooth curve.
 This module holds the shared value types (per-device packet error rates,
-slot/round timing, hitting-time moments, collection traces) and the exact
-integrator for the sawtooth time average.
+slot/round timing, hitting-time moments, collection traces with their
+renewal intervals) and the exact integrator for the sawtooth time average.
 
 All types are immutable after construction and all operations are pure
 functions, so everything here is safe to use concurrently.
@@ -157,14 +157,11 @@ class HittingMoments:
 
     first[i-1] is the mean number of slots to completion starting from
     device i's transmission.  second_t1 is the second moment from device 1
-    (the quantity the average-age formulas need).  t2s mirrors first[1]
-    where a second device exists (0.0 for N = 1); the retransmission
-    scheme's reset age depends on it.
+    (the quantity the average-age formulas need).
     """
 
     first: tuple[float, ...]
     second_t1: float
-    t2s: float
 
     def __post_init__(self):
         for v in self.first:
@@ -172,8 +169,6 @@ class HittingMoments:
                 raise ValueError(f"first moment {v!r} not finite and positive")
         if not math.isfinite(self.second_t1) or self.second_t1 <= 0.0:
             raise ValueError(f"second moment {self.second_t1!r} not finite and positive")
-        if not math.isfinite(self.t2s) or self.t2s < 0.0:
-            raise ValueError(f"t2s {self.t2s!r} not finite and non-negative")
         # Jensen: E[T^2] >= (E[T])^2, small slack for rounding
         lo = self.first[0] ** 2
         if self.second_t1 < lo * (1.0 - 1e-12):
@@ -182,7 +177,7 @@ class HittingMoments:
             )
 
 
-_TRACE_UNITS = ("slots", "rounds", "ms")
+_TRACE_UNITS = ("slots", "rounds")
 
 
 @dataclass(frozen=True)
@@ -191,14 +186,22 @@ class AocTrace:
 
     times[k] is the completion time of the k-th full collection and
     ages[k] the value the instantaneous age resets to at that moment
-    (the packets' age at delivery), both in `unit` units.  Between events
-    the age grows with unit slope, so the trace determines the sawtooth
-    exactly.
+    (the packets' age at delivery), both in `unit` units (slots or rounds).
+    Between events the age grows with unit slope, so the trace determines
+    the sawtooth exactly.
+
+    gaps and areas are the renewal intervals, computed once at
+    construction: gaps[k] = times[k+1] - times[k] is the length D of the
+    interval after event k, and areas[k] = ages[k] * gaps[k] + gaps[k]**2 / 2
+    the sawtooth area Y over it.  Both are read-only and one shorter than
+    the trace (empty for fewer than two events).
     """
 
     times: np.ndarray
     ages: np.ndarray
     unit: str
+    gaps: np.ndarray = field(init=False, repr=False, compare=False)
+    areas: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -216,15 +219,18 @@ class AocTrace:
                 raise ValueError("trace entries must be finite")
             if np.any(ages <= 0.0):
                 raise ValueError("every reset age must be > 0")
-        if times.size >= 2:
-            gaps = np.diff(times)
-            if np.any(gaps <= 0.0):
-                raise ValueError("completion times must be strictly increasing")
-            # the age cannot reset above what it had grown to since the
-            # previous collection
-            grown = gaps + ages[:-1]
-            if np.any(ages[1:] > grown * (1.0 + 1e-12)):
-                raise ValueError("reset age exceeds the age grown since last event")
+        gaps = np.diff(times)
+        if np.any(gaps <= 0.0):
+            raise ValueError("completion times must be strictly increasing")
+        # the age cannot reset above what it had grown to since the
+        # previous collection
+        if np.any(ages[1:] > (gaps + ages[:-1]) * (1.0 + 1e-12)):
+            raise ValueError("reset age exceeds the age grown since last event")
+        areas = ages[:-1] * gaps + 0.5 * gaps * gaps
+        gaps.setflags(write=False)
+        areas.setflags(write=False)
+        object.__setattr__(self, "gaps", gaps)
+        object.__setattr__(self, "areas", areas)
 
     def __len__(self) -> int:
         return int(self.times.size)
@@ -233,27 +239,15 @@ class AocTrace:
     def events(self) -> list[tuple[float, float]]:
         return list(zip(self.times.tolist(), self.ages.tolist()))
 
-    def scaled(self, factor: float, unit: str) -> "AocTrace":
-        """Same trace with all times and ages multiplied by `factor`."""
-        if not (math.isfinite(factor) and factor > 0.0):
-            raise ValueError(f"scale factor must be finite and > 0, got {factor!r}")
-        return AocTrace(self.times * factor, self.ages * factor, unit)
-
 
 def integrate_trace(trace: AocTrace) -> float:
     """Exact time average of the sawtooth between the first and last event.
 
-    Over the interval following event k the age starts at ages[k] and grows
-    with unit slope for g_k = times[k+1] - times[k], contributing the area
-
-        ages[k] * g_k + g_k**2 / 2.
-
-    The average is the summed area divided by times[-1] - times[0].  The
-    warm-up before the first collection is discarded, which matches the
-    renewal-reward form of the closed-form averages.
+    The average is the summed interval areas, trace.areas, divided by
+    times[-1] - times[0].  The warm-up before the first collection is
+    discarded, which matches the renewal-reward form of the closed-form
+    averages.
     """
     if len(trace) < 2:
         raise ValueError("insufficient renewal intervals")
-    gaps = np.diff(trace.times)
-    area = float(np.sum(trace.ages[:-1] * gaps + 0.5 * gaps * gaps))
-    return area / float(trace.times[-1] - trace.times[0])
+    return float(np.sum(trace.areas)) / float(trace.times[-1] - trace.times[0])

@@ -28,7 +28,7 @@ at the horizon is discarded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -112,22 +112,24 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimResult:
-    """Trace plus its summary statistics, in the trace's units."""
+    """Trace plus its summary statistics.  The trace is in slots or rounds
+    (trace.unit); avg_aoc and ci_halfwidth are in those units from
+    simulate() and in milliseconds from simulate_ms()."""
 
     trace: AocTrace
     avg_aoc: float
-    collections: int
     ci_halfwidth: float
 
     def __post_init__(self):
-        if self.collections != len(self.trace):
-            raise ValueError(
-                f"collections {self.collections} != trace events {len(self.trace)}"
-            )
         if not (math.isfinite(self.avg_aoc) and self.avg_aoc > 0.0):
             raise ValueError(f"avg_aoc must be finite and > 0, got {self.avg_aoc!r}")
         if math.isnan(self.ci_halfwidth) or self.ci_halfwidth < 0.0:
             raise ValueError(f"ci_halfwidth must be >= 0, got {self.ci_halfwidth!r}")
+
+    @property
+    def collections(self) -> int:
+        """Complete collections in the run, len(trace)."""
+        return len(self.trace)
 
     @property
     def rng_name(self) -> str:
@@ -151,21 +153,17 @@ def simulate(config: SimConfig) -> SimResult:
     return SimResult(
         trace=trace,
         avg_aoc=integrate_trace(trace),
-        collections=len(trace),
         ci_halfwidth=_batch_means_ci(trace),
     )
 
 
 def simulate_ms(config: SimConfig, timing: TimingModel) -> SimResult:
-    """simulate() with the trace and statistics scaled to milliseconds."""
+    """simulate() with avg_aoc and ci_halfwidth scaled to milliseconds by
+    timing.unit_ms(scheme); the trace stays in slots or rounds."""
     base = simulate(config)
     factor = timing.unit_ms(config.scheme)
-    return SimResult(
-        trace=base.trace.scaled(factor, "ms"),
-        avg_aoc=base.avg_aoc * factor,
-        collections=base.collections,
-        ci_halfwidth=base.ci_halfwidth * factor,
-    )
+    return replace(base, avg_aoc=base.avg_aoc * factor,
+                   ci_halfwidth=base.ci_halfwidth * factor)
 
 
 def _draws(rng: np.random.Generator, count: int, step: int = 1):
@@ -274,23 +272,22 @@ _KERNELS = {
 def _batch_means_ci(trace: AocTrace) -> float:
     """95% half-width on the sawtooth average via batch means.
 
-    The per-interval areas and durations are grouped into 20 (or fewer,
-    when there are not enough intervals) contiguous batches; each batch
-    contributes the ratio estimate area/duration, and the half-width is
-    the Student-t 97.5% quantile (_T975) times the standard error of the
-    batch ratios.  Short traces (< 40 events) drop the first batch.  Fewer
-    than two usable batches give an infinite half-width; a deterministic
-    trace gives zero.
+    The renewal intervals, trace.areas and trace.gaps, are grouped into 20
+    (or fewer, when there are not enough intervals) contiguous batches;
+    each batch contributes the ratio estimate area/duration, and the
+    half-width is the Student-t 97.5% quantile (_T975) times the standard
+    error of the batch ratios.  Short traces (< 40 events) drop the first
+    batch.  Fewer than two usable batches give an infinite half-width; a
+    deterministic trace gives zero.
     """
-    gaps = np.diff(trace.times)
-    n_int = int(gaps.size)
+    n_int = int(trace.gaps.size)
     if n_int < 2:
         return math.inf
-    areas = trace.ages[:-1] * gaps + 0.5 * gaps * gaps
-    batches = np.array_split(np.arange(n_int), min(20, n_int))
+    k = min(20, n_int)
+    batches = list(zip(np.array_split(trace.areas, k), np.array_split(trace.gaps, k)))
     if len(trace) < 40 and len(batches) > 2:
         batches = batches[1:]
-    ratios = np.array([np.sum(areas[b]) / np.sum(gaps[b]) for b in batches])
+    ratios = np.array([np.sum(area) / np.sum(gap) for area, gap in batches])
     m = ratios.size
     if m < 2:
         return math.inf

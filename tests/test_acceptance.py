@@ -179,7 +179,7 @@ def test_criterion_4_hand_derived_oracles(capfd):
 
         r = tdma_r_moments(p)
         assert r.first == (4.0, 2.0)
-        assert r.t2s == 2.0
+        assert r.first[1] == 2.0
         assert r.second_t1 == 20.0
         assert tdma_r_avg_aoc_slots(p) == pytest.approx(5.5, rel=1e-12)
         _mc_confirm(_mc_hitting_samples((0.5, 0.5), 0, episodes, 1003, True),

@@ -118,14 +118,14 @@ class TestTdmaNrMoments:
         m = tdma_nr_moments(make_per_vector([0.5, 0.5]))
         assert m.first == pytest.approx((6.0, 4.0), rel=REL)
         assert m.second_t1 == pytest.approx(58.0, rel=REL)
-        assert m.t2s == pytest.approx(4.0, rel=REL)
+        assert m.first[1] == pytest.approx(4.0, rel=REL)
 
     def test_single_device_geometric(self):
         # T is geometric(q=0.5): E = 2, E[T^2] = (2 - q)/q^2 = 6
         m = tdma_nr_moments(make_per_vector([0.5]))
         assert m.first == pytest.approx((2.0,), rel=REL)
         assert m.second_t1 == pytest.approx(6.0, rel=REL)
-        assert m.t2s == 0.0
+        assert len(m.first) == 1
 
     def test_recursion_residuals(self):
         # substitute the solved moments back into the defining recursions
@@ -166,13 +166,13 @@ class TestTdmaRMoments:
     def test_zero_loss(self):
         m = tdma_r_moments(make_per_vector([0.0, 0.0]))
         assert m.first == (2.0, 1.0)
-        assert m.t2s == 1.0
+        assert m.first[1] == 1.0
         assert m.second_t1 == 4.0
 
     def test_half_loss_pair(self):
         m = tdma_r_moments(make_per_vector([0.5, 0.5]))
         assert m.first == (4.0, 2.0)
-        assert m.t2s == 2.0
+        assert m.first[1] == 2.0
         assert m.second_t1 == 20.0
 
     def test_single_device_matches_nr(self):
@@ -180,7 +180,7 @@ class TestTdmaRMoments:
         nr = tdma_nr_moments(make_per_vector([0.5]))
         assert r.first[0] == pytest.approx(nr.first[0], rel=REL)
         assert r.second_t1 == pytest.approx(nr.second_t1, rel=REL)
-        assert r.t2s == 0.0
+        assert len(r.first) == 1
 
     def test_suffix_sums(self):
         rng = np.random.default_rng(14)
@@ -207,7 +207,7 @@ class TestTdmaRMoments:
             m2 = tdma_r_moments(make_per_vector(shuffled))
             assert m1.first[0] == m2.first[0]
             assert m1.second_t1 == m2.second_t1
-            assert m1.t2s == m2.t2s
+            assert m1.first[1] == m2.first[1]
 
 
 class TestTdmaRAvg:
@@ -228,7 +228,8 @@ class TestTdmaRAvg:
         # and the moments keep every suffix sum
         p = make_per_vector(probs)
         mom = tdma_r_moments(p)
-        want = 1.0 + mom.t2s + mom.second_t1 / (2.0 * mom.first[0])
+        t2 = mom.first[1] if p.n >= 2 else 0.0
+        want = 1.0 + t2 + mom.second_t1 / (2.0 * mom.first[0])
         assert tdma_r_avg_aoc_slots(p) == want
         a = [1.0 / (1.0 - pi) for pi in probs]
         assert mom.first == tuple(math.fsum(a[i:]) for i in range(p.n))

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -301,18 +302,29 @@ class TestListFlags:
           "--horizon", "500"],
          ["simulate", "--scheme", "tdma-r", "--p", "0.1,0.2", "--order", "2,1",
           "--horizon", "500"]),
-    ], ids=["p", "scheme", "scheme-spaces", "order"])
+        (["sweep", "--p", "0.1,0.2", "--modes", "theory,"],
+         ["sweep", "--p", "0.1,0.2", "--modes", "theory"]),
+    ], ids=["p", "scheme", "scheme-spaces", "order", "modes"])
     def test_empty_tokens_are_skipped(self, capsys, trailing, plain):
         assert _run(capsys, trailing) == _run(capsys, plain)
         assert _run(capsys, plain)[0] == 0
 
     @pytest.mark.parametrize("flag,value", [("--scheme", ","), ("--scheme", " "),
-                                            ("--p", ",")])
+                                            ("--p", ","), ("--modes", ","),
+                                            ("--orders", ";")])
     def test_no_tokens_names_the_flag(self, capsys, flag, value):
-        argv = ["theory", "--p", "0.1", "--scheme", "fdma"]
+        argv = {
+            "--modes": ["sweep", "--p", "0.1", "--modes", "theory"],
+            "--orders": ["orders", "--p", "0.1,0.2", "--orders", "1,2"],
+        }.get(flag, ["theory", "--p", "0.1", "--scheme", "fdma"])
         argv[argv.index(flag) + 1] = value
         code, out, err = _run(capsys, argv)
         assert (code, out, err) == (2, "", f"aockit: invalid {flag} value {value!r}\n")
+
+    def test_unknown_modes_token_names_the_flag(self, capsys):
+        code, out, err = _run(capsys, ["sweep", "--p", "0.1", "--modes", "theory,foo"])
+        assert (code, out) == (2, "")
+        assert err.startswith("aockit: unknown --modes token 'foo'")
 
 
 class TestDeviceCountFlag:
@@ -425,6 +437,18 @@ class TestSweep:
                                        "--horizon", "20"])
         assert (code, out) == (2, "")
         assert err == "aockit: (0.0 dB, fdma): insufficient collections\n"
+
+    def test_huge_slot_duration_gives_finite_rows(self, capsys):
+        # the simulated averages and half-widths are finite in ms, so the
+        # run succeeds even where slot times in ms would overflow
+        code, out, err = _run(capsys, ["sweep", "--p", "0.1", "--t-td", "1e306",
+                                       "--t-fd", "0.2", "--horizon", "1000"])
+        assert (code, err) == (0, "")
+        rows = out.splitlines()[1:]
+        assert len(rows) == 6
+        for row in rows:
+            _, _, _, avg, half, _ = row.split(",")
+            assert math.isfinite(float(avg)) and math.isfinite(float(half))
 
     def test_missing_table_file(self, tmp_path, capsys):
         code, _, err = _run(capsys, ["sweep", "--per-table",

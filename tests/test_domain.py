@@ -131,34 +131,35 @@ class TestAocTrace:
             _trace([(2, 2), (4, 5)])
 
     def test_rejects_bad_unit(self):
-        with pytest.raises(ValueError):
-            _trace([(2, 2), (4, 2)], unit="hours")
+        for unit in ("hours", "ms"):
+            with pytest.raises(ValueError, match=f"unit '{unit}'"):
+                _trace([(2, 2), (4, 2)], unit=unit)
 
-    def test_scaled(self):
-        tr = _trace([(2, 2), (4, 2)]).scaled(0.5, "ms")
-        assert tr.unit == "ms"
-        assert tr.events == [(1.0, 1.0), (2.0, 1.0)]
-        with pytest.raises(ValueError):
-            tr.scaled(0.0, "ms")
+    def test_renewal_intervals(self):
+        tr = _trace([(2, 2), (5, 1.5), (6, 2.5)])
+        assert tr.gaps.tolist() == [3.0, 1.0]
+        # areas[k] = ages[k] * gaps[k] + gaps[k]**2 / 2
+        assert tr.areas.tolist() == [2 * 3 + 9 / 2, 1.5 * 1 + 1 / 2]
+        for arr in (tr.gaps, tr.areas):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        assert _trace([(2, 2)]).gaps.size == _trace([(2, 2)]).areas.size == 0
 
 
 class TestHittingMoments:
     def test_valid(self):
-        m = HittingMoments(first=(6.0, 4.0), second_t1=58.0, t2s=4.0)
+        m = HittingMoments(first=(6.0, 4.0), second_t1=58.0)
         assert m.first == (6.0, 4.0)
-
-    def test_t2s_zero_allowed(self):
-        HittingMoments(first=(2.0,), second_t1=6.0, t2s=0.0)
 
     def test_rejects_jensen_violation(self):
         with pytest.raises(ValueError):
-            HittingMoments(first=(6.0, 4.0), second_t1=35.0, t2s=4.0)
+            HittingMoments(first=(6.0, 4.0), second_t1=35.0)
 
     @pytest.mark.parametrize("kw", [
-        dict(first=(0.0,), second_t1=1.0, t2s=0.0),
-        dict(first=(1.0,), second_t1=-1.0, t2s=0.0),
-        dict(first=(1.0,), second_t1=1.0, t2s=-1.0),
-        dict(first=(float("inf"),), second_t1=1.0, t2s=0.0),
+        dict(first=(0.0,), second_t1=1.0),
+        dict(first=(1.0,), second_t1=-1.0),
+        dict(first=(1.0,), second_t1=float("nan")),
+        dict(first=(float("inf"),), second_t1=1.0),
     ])
     def test_rejects_invalid_entries(self, kw):
         with pytest.raises(ValueError):
@@ -196,7 +197,7 @@ class TestIntegrateTrace:
         ages = rng.uniform(0.2, 0.9, size=20)
         tr = AocTrace(times, ages, "slots")
         for c in (0.104, 3.0):
-            assert integrate_trace(tr.scaled(c, "ms")) == pytest.approx(
+            assert integrate_trace(AocTrace(times * c, ages * c, "slots")) == pytest.approx(
                 c * integrate_trace(tr), rel=1e-12
             )
 

@@ -340,18 +340,18 @@ class TestErrors:
             res.rng_name = "MT19937"
         with pytest.raises(TypeError):
             SimResult(trace=res.trace, avg_aoc=res.avg_aoc,
-                      collections=res.collections,
                       ci_halfwidth=res.ci_halfwidth, rng_name="MT19937")
 
     def test_result_validation(self):
         res = simulate(SimConfig(SchemeKind.TDMA_NR, make_per_vector([0.0]), 10, 0))
         with pytest.raises(ValueError):
-            SimResult(trace=res.trace, avg_aoc=res.avg_aoc,
-                      collections=res.collections + 1,
-                      ci_halfwidth=res.ci_halfwidth)
+            SimResult(trace=res.trace, avg_aoc=res.avg_aoc, ci_halfwidth=-0.5)
         with pytest.raises(ValueError):
-            SimResult(trace=res.trace, avg_aoc=res.avg_aoc,
-                      collections=res.collections, ci_halfwidth=-0.5)
+            SimResult(trace=res.trace, avg_aoc=math.inf, ci_halfwidth=res.ci_halfwidth)
+        # the collection count is the trace's, not a separate setting
+        assert res.collections == len(res.trace)
+        with pytest.raises(AttributeError):
+            res.collections = 0
 
 
 class TestSimulateMs:
@@ -361,8 +361,11 @@ class TestSimulateMs:
         ms = simulate_ms(cfg, UNIT)
         assert ms.avg_aoc == slot.avg_aoc
         assert ms.ci_halfwidth == slot.ci_halfwidth
-        assert ms.trace.unit == "ms"
         assert np.array_equal(ms.trace.times, slot.trace.times)
+        # only the two statistics are scaled; the base trace passes through
+        with mock.patch.object(sim, "simulate", return_value=slot):
+            assert simulate_ms(cfg, UNIT).trace is slot.trace
+        assert ms.trace.unit == "slots"
 
     def test_zero_loss_reference_timings(self):
         timing = TimingModel(tdma_slot_ms=0.104, fdma_round_ms=0.224)
