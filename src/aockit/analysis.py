@@ -1,5 +1,10 @@
 """Closed-form average age of collection for the three access schemes.
 
+This module owns the theory side: each scheme's hitting-time moments
+(HittingMoments), its average AoC in slots or rounds, and that average in
+milliseconds (avg_aoc_ms).  It reads the domain types only and shares no
+code with the simulator.
+
 Each scheme's transmission process is an absorbing Markov chain over the
 states "device i transmits next"; a full collection is the absorption
 event.  With D the inter-collection time and A the age of the delivered
@@ -27,10 +32,12 @@ float64 raises ValueError naming the scheme and N.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
-from .domain import HittingMoments, PerVector, SchemeKind, TimingModel
+from .domain import PerVector, SchemeKind, TimingModel
 
 __all__ = [
+    "HittingMoments",
     "tdma_nr_moments",
     "tdma_nr_avg_aoc_slots",
     "tdma_r_moments",
@@ -39,6 +46,34 @@ __all__ = [
     "fdma_avg_aoc_rounds",
     "avg_aoc_ms",
 ]
+
+
+@dataclass(frozen=True)
+class HittingMoments:
+    """First and second moments of the time to reach the full-collection
+    state of a scheme's transmission Markov chain, in slot units.
+
+    first[i-1] is the mean number of slots to completion starting from
+    device i's transmission.  second_t1 is the second moment from device 1
+    (the quantity the average-age formulas need).
+    """
+
+    first: tuple[float, ...]
+    second_t1: float
+
+    def __post_init__(self):
+        for v in self.first:
+            if not (math.isfinite(v) and v > 0.0):
+                raise ValueError(f"first moment {v!r} not finite and positive")
+        if not math.isfinite(self.second_t1) or self.second_t1 <= 0.0:
+            raise ValueError(f"second moment {self.second_t1!r} not finite and positive")
+        # Jensen: E[T^2] >= (E[T])^2, small slack for rounding
+        lo = self.first[0] ** 2
+        if self.second_t1 < lo * (1.0 - 1e-12):
+            raise ValueError(
+                f"second moment {self.second_t1} below squared mean {lo}"
+            )
+
 
 # survival products are renormalised below this; 1 - p >= 2**-53 for any
 # p < 1, so the running mantissa stays far above the subnormal range
@@ -236,7 +271,11 @@ def fdma_avg_aoc_rounds(p: PerVector) -> float:
 
 
 def avg_aoc_ms(scheme: SchemeKind, p: PerVector, timing: TimingModel) -> float:
-    """Average AoC in milliseconds under the given slot/round durations."""
+    """Average AoC in milliseconds under the given slot/round durations.
+
+    An overflow of the millisecond product raises ValueError naming the
+    TimingModel field (see TimingModel.to_ms).
+    """
     if scheme is SchemeKind.TDMA_NR:
         units = tdma_nr_avg_aoc_slots(p)
     elif scheme is SchemeKind.TDMA_R:
@@ -245,4 +284,4 @@ def avg_aoc_ms(scheme: SchemeKind, p: PerVector, timing: TimingModel) -> float:
         units = fdma_avg_aoc_rounds(p)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
-    return _in_range(units * timing.unit_ms(scheme), scheme, p.n)
+    return timing.to_ms(scheme, units)

@@ -16,8 +16,8 @@ success and nonzero with a one-line diagnostic on any error.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
+from dataclasses import replace
 
 from .domain import PerVector, SchemeKind, TimingModel, make_per_vector
 from .sweep import (
@@ -50,6 +50,9 @@ _PHY_FLAGS = {
     "gi_ms": "--gi-ms",
     "num_devices": "--n",
 }
+
+# every field an error message may name -> the flag that sets it
+_FIELD_FLAGS = {**_PHY_FLAGS, "tdma_slot_ms": "--t-td", "fdma_round_ms": "--t-fd"}
 
 
 def _tokens(text: str, flag: str | None = None, sep: str = ",") -> list[str]:
@@ -137,9 +140,6 @@ def _resolve_timing(args, table) -> TimingModel:
     from the profile only when no flag replaces it."""
     if args.idealized and args.t_fd is not None:
         raise ValueError("--idealized and --t-fd are mutually exclusive")
-    for flag, value in (("--t-td", args.t_td), ("--t-fd", args.t_fd)):
-        if value is not None and not (math.isfinite(value) and value > 0.0):
-            raise ValueError(f"{flag} must be finite and > 0, got {value!r}")
     counts = table.device_counts((SchemeKind.FDMA,))
     if len(counts) > 1 and args.t_fd is None:
         raise ValueError(
@@ -167,8 +167,12 @@ def _cmd_simulate(args) -> int:
     scheme = SchemeKind.from_token(args.scheme)
     timing = _resolve_timing(args, single_point_table(p, schemes=(scheme,)))
     order = _parse_order(args.order) if args.order else None
-    row = simulation_row(0.0, scheme, p, timing, args.horizon, args.seed, order)
-    emit_rows([row], args.out)
+    if order is not None:
+        if scheme is SchemeKind.FDMA:
+            raise ValueError("--order applies to TDMA schemes only")
+        p = p.permuted(order)
+    row = simulation_row(0.0, scheme, p, timing, args.horizon, args.seed)
+    emit_rows([replace(row, order=order)], args.out)
     return 0
 
 
@@ -191,13 +195,8 @@ def _cmd_orders(args) -> int:
 
 
 def _cmd_timing(args) -> int:
-    try:
-        phy = PhyProfile(**{field: getattr(args, field) for field in _PHY_FLAGS
-                            if getattr(args, field) is not None})
-    except ValueError as exc:
-        # the message names PhyProfile fields; report the flags that set them
-        words = str(exc).split(" ")
-        raise ValueError(" ".join(_PHY_FLAGS.get(w, w) for w in words)) from None
+    phy = PhyProfile(**{field: getattr(args, field) for field in _PHY_FLAGS
+                        if getattr(args, field) is not None})
     split = phy.fdma_split()
     records = [
         ("status", status_duration_ms(phy)),
@@ -295,12 +294,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _name_flags(message: str, args) -> str:
+    """The message with each PhyProfile or TimingModel field it names
+    replaced by the flag that sets it.  Under --idealized the FDMA round,
+    N times --t-td, is named the --idealized round."""
+    flags = _FIELD_FLAGS
+    if getattr(args, "idealized", False):
+        flags = {**flags, "fdma_round_ms": "--idealized round"}
+    return " ".join(flags.get(word, word) for word in message.split(" "))
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:
-        print(f"aockit: {exc}", file=sys.stderr)
+        print(f"aockit: {_name_flags(str(exc), args)}", file=sys.stderr)
         return 2
 
 

@@ -1,12 +1,13 @@
-"""Core domain types for age-of-collection (AoC) analysis.
+"""Value types shared by the analysis, the simulator, the sweeps and the CLI.
 
-The age of collection of an N-device status-update system is the time
-elapsed since the generation of the most recent *complete* set of status
-packets received from all devices.  It grows with unit slope and drops
-only when a full collection is delivered, producing a sawtooth curve.
-This module holds the shared value types (per-device packet error rates,
-slot/round timing, hitting-time moments, collection traces with their
-renewal intervals) and the exact integrator for the sawtooth time average.
+The age of collection (AoC) of an N-device status-update system is the
+time elapsed since the generation of the most recent *complete* set of
+status packets received from all devices.  This module owns what several
+of aockit's modules read: the scheme selector, the per-device packet
+error rates, the slot/round timing, and the checks on seeds, horizons and
+transmission orders.  Results belong to the module that makes them: the
+simulator's traces to aockit.sim, the hitting-time moments to
+aockit.analysis.
 
 All types are immutable after construction and all operations are pure
 functions, so everything here is safe to use concurrently.
@@ -16,18 +17,13 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 __all__ = [
     "SchemeKind",
     "PerVector",
     "TimingModel",
-    "HittingMoments",
-    "AocTrace",
     "make_per_vector",
-    "integrate_trace",
 ]
 
 
@@ -149,105 +145,16 @@ class TimingModel:
         """An FDMA round for FDMA, a TDMA slot for the TDMA schemes."""
         return self.fdma_round_ms if scheme is SchemeKind.FDMA else self.tdma_slot_ms
 
+    def to_ms(self, scheme: SchemeKind, units: float) -> float:
+        """`units` slots (TDMA) or rounds (FDMA) in milliseconds.
 
-@dataclass(frozen=True)
-class HittingMoments:
-    """First and second moments of the time to reach the full-collection
-    state of a scheme's transmission Markov chain, in slot units.
-
-    first[i-1] is the mean number of slots to completion starting from
-    device i's transmission.  second_t1 is the second moment from device 1
-    (the quantity the average-age formulas need).
-    """
-
-    first: tuple[float, ...]
-    second_t1: float
-
-    def __post_init__(self):
-        for v in self.first:
-            if not (math.isfinite(v) and v > 0.0):
-                raise ValueError(f"first moment {v!r} not finite and positive")
-        if not math.isfinite(self.second_t1) or self.second_t1 <= 0.0:
-            raise ValueError(f"second moment {self.second_t1!r} not finite and positive")
-        # Jensen: E[T^2] >= (E[T])^2, small slack for rounding
-        lo = self.first[0] ** 2
-        if self.second_t1 < lo * (1.0 - 1e-12):
-            raise ValueError(
-                f"second moment {self.second_t1} below squared mean {lo}"
-            )
-
-
-_TRACE_UNITS = ("slots", "rounds")
-
-
-@dataclass(frozen=True)
-class AocTrace:
-    """Sequence of successful-collection events of one run.
-
-    times[k] is the completion time of the k-th full collection and
-    ages[k] the value the instantaneous age resets to at that moment
-    (the packets' age at delivery), both in `unit` units (slots or rounds).
-    Between events the age grows with unit slope, so the trace determines
-    the sawtooth exactly.
-
-    gaps and areas are the renewal intervals, computed once at
-    construction: gaps[k] = times[k+1] - times[k] is the length D of the
-    interval after event k, and areas[k] = ages[k] * gaps[k] + gaps[k]**2 / 2
-    the sawtooth area Y over it.  Both are read-only and one shorter than
-    the trace (empty for fewer than two events).
-    """
-
-    times: np.ndarray
-    ages: np.ndarray
-    unit: str
-    gaps: np.ndarray = field(init=False, repr=False, compare=False)
-    areas: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        ages = np.asarray(self.ages, dtype=float)
-        times.setflags(write=False)
-        ages.setflags(write=False)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "ages", ages)
-        if self.unit not in _TRACE_UNITS:
-            raise ValueError(f"unit {self.unit!r} not one of {_TRACE_UNITS}")
-        if times.ndim != 1 or ages.ndim != 1 or times.shape != ages.shape:
-            raise ValueError("times and ages must be 1-d arrays of equal length")
-        if times.size:
-            if not np.all(np.isfinite(times)) or not np.all(np.isfinite(ages)):
-                raise ValueError("trace entries must be finite")
-            if np.any(ages <= 0.0):
-                raise ValueError("every reset age must be > 0")
-        gaps = np.diff(times)
-        if np.any(gaps <= 0.0):
-            raise ValueError("completion times must be strictly increasing")
-        # the age cannot reset above what it had grown to since the
-        # previous collection
-        if np.any(ages[1:] > (gaps + ages[:-1]) * (1.0 + 1e-12)):
-            raise ValueError("reset age exceeds the age grown since last event")
-        areas = ages[:-1] * gaps + 0.5 * gaps * gaps
-        gaps.setflags(write=False)
-        areas.setflags(write=False)
-        object.__setattr__(self, "gaps", gaps)
-        object.__setattr__(self, "areas", areas)
-
-    def __len__(self) -> int:
-        return int(self.times.size)
-
-    @property
-    def events(self) -> list[tuple[float, float]]:
-        return list(zip(self.times.tolist(), self.ages.tolist()))
-
-
-def integrate_trace(trace: AocTrace) -> float:
-    """Exact time average of the sawtooth between the first and last event.
-
-    The average is the summed interval areas, trace.areas, divided by
-    times[-1] - times[0].  The warm-up before the first collection is
-    discarded, which matches the renewal-reward form of the closed-form
-    averages.
-    """
-    if len(trace) < 2:
-        raise ValueError("insufficient renewal intervals")
-    return float(np.sum(trace.areas)) / float(trace.times[-1] - trace.times[0])
+        An infinite value stays infinite.  A finite one whose product
+        exceeds float range raises ValueError naming the duration field.
+        """
+        ms = units * self.unit_ms(scheme)
+        if math.isinf(ms) and math.isfinite(units):
+            fdma = scheme is SchemeKind.FDMA
+            name, unit = ("fdma_round_ms", "rounds") if fdma else ("tdma_slot_ms", "slots")
+            raise ValueError(f"{name} {self.unit_ms(scheme)!r} times {units:.6g} {unit} "
+                             "exceeds float range")
+        return ms

@@ -1,11 +1,14 @@
 """Seeded slot-level simulators for the three access schemes.
 
-The simulators are the independent check on the closed forms: they share
-nothing with the analysis module except the domain types and the trace
-integrator.  Each run draws one uniform variate per packet transmission
-attempt, consumed in slot order (FDMA rounds consume their N draws in
-device order), from a PCG64 generator seeded by SimConfig.seed.  That
-convention pins the seed-to-trace mapping, so identical configs give
+This module owns a simulation run from end to end: its configuration
+(SimConfig), the trace of collection events it produces (AocTrace), the
+exact time average of that trace (integrate_trace), the confidence
+interval, and the result (SimResult).  The simulators are the independent
+check on the closed forms: they share nothing with the analysis module
+except the domain types.  Each run draws one uniform variate per packet
+transmission attempt, consumed in slot order (FDMA rounds consume their N
+draws in device order), from a PCG64 generator seeded by SimConfig.seed.
+That convention pins the seed-to-trace mapping, so identical configs give
 bit-identical results; the generator name travels in SimResult.rng_name.
 
 All draws come from one stream, _draws, in arrays of at most _CHUNK
@@ -28,22 +31,14 @@ at the horizon is discarded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .domain import (
-    AocTrace,
-    PerVector,
-    SchemeKind,
-    TimingModel,
-    _check_horizon,
-    _check_permutation,
-    _check_seed,
-    integrate_trace,
-)
+from .domain import PerVector, SchemeKind, TimingModel, _check_horizon, _check_seed
 
-__all__ = ["RNG_NAME", "SimConfig", "SimResult", "simulate", "simulate_ms"]
+__all__ = ["RNG_NAME", "AocTrace", "SimConfig", "SimResult", "integrate_trace",
+           "simulate", "simulate_ms"]
 
 RNG_NAME = "PCG64"
 
@@ -76,20 +71,97 @@ _T975 = (
 )
 
 
+_TRACE_UNITS = ("slots", "rounds")
+
+
+@dataclass(frozen=True)
+class AocTrace:
+    """Sequence of successful-collection events of one run.
+
+    times[k] is the completion time of the k-th full collection and
+    ages[k] the value the instantaneous age resets to at that moment
+    (the packets' age at delivery), both in `unit` units (slots or rounds).
+    Between events the age grows with unit slope, so the trace determines
+    the sawtooth exactly.
+
+    gaps and areas are the renewal intervals, computed once at
+    construction: gaps[k] = times[k+1] - times[k] is the length D of the
+    interval after event k, and areas[k] = ages[k] * gaps[k] + gaps[k]**2 / 2
+    the sawtooth area Y over it.  Both are read-only and one shorter than
+    the trace (empty for fewer than two events).
+    """
+
+    times: np.ndarray
+    ages: np.ndarray
+    unit: str
+    gaps: np.ndarray = field(init=False, repr=False, compare=False)
+    areas: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        times = np.asarray(self.times, dtype=float)
+        ages = np.asarray(self.ages, dtype=float)
+        times.setflags(write=False)
+        ages.setflags(write=False)
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "ages", ages)
+        if self.unit not in _TRACE_UNITS:
+            raise ValueError(f"unit {self.unit!r} not one of {_TRACE_UNITS}")
+        if times.ndim != 1 or ages.ndim != 1 or times.shape != ages.shape:
+            raise ValueError("times and ages must be 1-d arrays of equal length")
+        if times.size:
+            if not np.all(np.isfinite(times)) or not np.all(np.isfinite(ages)):
+                raise ValueError("trace entries must be finite")
+            if np.any(ages <= 0.0):
+                raise ValueError("every reset age must be > 0")
+        gaps = np.diff(times)
+        if np.any(gaps <= 0.0):
+            raise ValueError("completion times must be strictly increasing")
+        # the age cannot reset above what it had grown to since the
+        # previous collection
+        if np.any(ages[1:] > (gaps + ages[:-1]) * (1.0 + 1e-12)):
+            raise ValueError("reset age exceeds the age grown since last event")
+        areas = ages[:-1] * gaps + 0.5 * gaps * gaps
+        gaps.setflags(write=False)
+        areas.setflags(write=False)
+        object.__setattr__(self, "gaps", gaps)
+        object.__setattr__(self, "areas", areas)
+
+    def __len__(self) -> int:
+        return int(self.times.size)
+
+    @property
+    def events(self) -> list[tuple[float, float]]:
+        return list(zip(self.times.tolist(), self.ages.tolist()))
+
+
+def integrate_trace(trace: AocTrace) -> float:
+    """Exact time average of the sawtooth between the first and last event.
+
+    The average is the summed interval areas, trace.areas, divided by
+    times[-1] - times[0].  The warm-up before the first collection is
+    discarded, which matches the renewal-reward form of the closed-form
+    averages.
+    """
+    if len(trace) < 2:
+        raise ValueError("insufficient renewal intervals")
+    return float(np.sum(trace.areas)) / float(trace.times[-1] - trace.times[0])
+
+
 @dataclass(frozen=True)
 class SimConfig:
-    """One simulation run: scheme, error rates, horizon, seed, order.
+    """One simulation run: scheme, error rates, horizon and seed.
 
-    horizon counts slots for the TDMA schemes and rounds for FDMA.  order
-    is the device transmission order (a permutation of 1..N, TDMA only);
-    None means devices transmit in index order.
+    p holds the error rates in transmission order: entry j is the PER of
+    the device that transmits j-th.  To simulate a TDMA transmission order
+    o, pass p.permuted(o); FDMA devices transmit together, so their order
+    does not matter.  horizon counts slots for the TDMA schemes and rounds
+    for FDMA.
     """
 
     scheme: SchemeKind
     p: PerVector
     horizon: int
     seed: int
-    order: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if not isinstance(self.scheme, SchemeKind):
@@ -98,16 +170,6 @@ class SimConfig:
             raise ValueError(f"p must be a PerVector, got {self.p!r}")
         _check_horizon(self.horizon)
         _check_seed(self.seed)
-        if self.order is not None:
-            if self.scheme is SchemeKind.FDMA:
-                raise ValueError("order applies to TDMA schemes only")
-            object.__setattr__(self, "order", _check_permutation(self.order, self.p.n))
-
-    def effective_per(self) -> PerVector:
-        """Error rates in transmission order."""
-        if self.order is None:
-            return self.p
-        return self.p.permuted(self.order)
 
 
 @dataclass(frozen=True)
@@ -146,7 +208,7 @@ def simulate(config: SimConfig) -> SimResult:
     """
     kernel, unit = _KERNELS[config.scheme]
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    times, ages = kernel(config.effective_per().probs, config.horizon, rng)
+    times, ages = kernel(config.p.probs, config.horizon, rng)
     if len(times) < 2:
         raise ValueError("insufficient collections")
     trace = AocTrace(times, ages, unit)
@@ -159,11 +221,10 @@ def simulate(config: SimConfig) -> SimResult:
 
 def simulate_ms(config: SimConfig, timing: TimingModel) -> SimResult:
     """simulate() with avg_aoc and ci_halfwidth scaled to milliseconds by
-    timing.unit_ms(scheme); the trace stays in slots or rounds."""
+    timing.to_ms; the trace stays in slots or rounds."""
     base = simulate(config)
-    factor = timing.unit_ms(config.scheme)
-    return replace(base, avg_aoc=base.avg_aoc * factor,
-                   ci_halfwidth=base.ci_halfwidth * factor)
+    return replace(base, avg_aoc=timing.to_ms(config.scheme, base.avg_aoc),
+                   ci_halfwidth=timing.to_ms(config.scheme, base.ci_halfwidth))
 
 
 def _draws(rng: np.random.Generator, count: int, step: int = 1):

@@ -14,7 +14,7 @@ import hashlib
 import math
 import sys
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from types import MappingProxyType
 
@@ -191,16 +191,9 @@ def theory_row(
     scheme: SchemeKind,
     p: PerVector,
     timing: TimingModel,
-    order=None,
 ) -> SweepRow:
-    """Closed-form row for one key; with an order, the closed form sees
-    p in that transmission order."""
-    seen = p
-    if order is not None:
-        order = _check_permutation(order, p.n)
-        seen = p.permuted(order)
-    return SweepRow(snr_db, scheme, "theory", avg_aoc_ms(scheme, seen, timing),
-                    0.0, 0, order)
+    """Closed-form row for one key, with p in transmission order."""
+    return SweepRow(snr_db, scheme, "theory", avg_aoc_ms(scheme, p, timing), 0.0, 0)
 
 
 def simulation_row(
@@ -210,13 +203,11 @@ def simulation_row(
     timing: TimingModel,
     horizon: int,
     seed: int,
-    order=None,
 ) -> SweepRow:
-    """One seeded simulation run as a row; order as in SimConfig."""
-    config = SimConfig(scheme, p, horizon, seed, order=order)
-    result = simulate_ms(config, timing)
+    """One seeded simulation run as a row, with p in transmission order."""
+    result = simulate_ms(SimConfig(scheme, p, horizon, seed), timing)
     return SweepRow(snr_db, scheme, "simulation", result.avg_aoc,
-                    result.ci_halfwidth, seed, config.order)
+                    result.ci_halfwidth, seed)
 
 
 def run_sweep(
@@ -262,10 +253,10 @@ def run_order_study(
 ) -> list[SweepRow]:
     """Theory and simulation rows per transmission order and TDMA scheme.
 
-    Theory rows evaluate the closed forms on the order-permuted PerVector;
-    simulation rows pass the order through SimConfig.  FDMA has no order
-    (all devices transmit simultaneously) and is omitted.  An error raised
-    while computing a row is re-raised prefixed with its key and order.
+    Both rows of an order see p permuted into that order, and carry the
+    order.  FDMA has no order (all devices transmit simultaneously) and is
+    omitted.  An error raised while computing a row is re-raised prefixed
+    with its key and order.
     """
     _check_seed(seed)
     _check_horizon(horizon)
@@ -277,12 +268,14 @@ def run_order_study(
     rows: list[SweepRow] = []
     for order in orders:
         label = "-".join(map(str, order))
+        seen = p.permuted(order)
         for scheme in (SchemeKind.TDMA_NR, SchemeKind.TDMA_R):
             try:
-                rows.append(theory_row(0.0, scheme, p, timing, order))
+                row = theory_row(0.0, scheme, seen, timing)
+                rows.append(replace(row, order=order))
                 run_seed = _derive_seed(seed, "order", label, scheme.token)
-                rows.append(simulation_row(0.0, scheme, p, timing, horizon, run_seed,
-                                           order))
+                row = simulation_row(0.0, scheme, seen, timing, horizon, run_seed)
+                rows.append(replace(row, order=order))
             except ValueError as exc:
                 raise ValueError(
                     f"(0.0 dB, {scheme.token}, order {label}): {exc}"

@@ -314,7 +314,8 @@ class TestFloatRange:
 
     def test_ms_conversion_overflow(self):
         timing = TimingModel(tdma_slot_ms=1e308, fdma_round_ms=1.0)
-        with pytest.raises(ValueError, match="tdma-r: average AoC exceeds float range"):
+        with pytest.raises(ValueError, match=r"^tdma_slot_ms 1e\+308 times 11\.5 slots "
+                                             "exceeds float range$"):
             avg_aoc_ms(SchemeKind.TDMA_R, make_per_vector([0.5] * 4), timing)
 
 

@@ -277,6 +277,23 @@ class TestTimingFlags:
         assert (code, out) == (2, "")
         assert err == f"aockit: {flag} must be finite and > 0, got {shown}\n"
 
+    def test_idealized_round_overflow_names_the_flag(self, capsys):
+        code, out, err = _run(capsys, ["theory", "--p", "0.1,0.1", "--t-td", "1e308",
+                                       "--idealized"])
+        assert (code, out) == (2, "")
+        assert err == "aockit: --idealized round must be finite and > 0, got inf\n"
+
+    @pytest.mark.parametrize("flags,named", [
+        (["--t-fd", "1e308"], "--t-fd"),
+        (["--t-td", "5e307", "--idealized"], "--idealized round"),
+    ], ids=["t-fd", "idealized"])
+    def test_round_ms_overflow_names_the_flag(self, capsys, flags, named):
+        code, out, err = _run(capsys, ["theory", "--p", "0.5,0.5", "--scheme", "fdma"]
+                              + flags)
+        assert (code, out) == (2, "")
+        assert err == (f"aockit: (0.0 dB, fdma): {named} 1e+308 times 4.5 rounds "
+                       "exceeds float range\n")
+
     def test_tdma_keys_do_not_set_the_fdma_round(self, tmp_path, capsys):
         # TDMA keys at N = 5 beside FDMA keys at N = 2: the round is N = 2's
         path = tmp_path / "per.csv"
@@ -385,6 +402,12 @@ class TestSimulate:
         assert out.splitlines()[0].endswith(",order")
         assert out.splitlines()[1].endswith(",2-1")
 
+    def test_order_flag_rejected_for_fdma(self, capsys):
+        code, out, err = _run(capsys, ["simulate", "--scheme", "fdma", "--p", "0.1,0.2",
+                                       "--order", "2,1"])
+        assert (code, out) == (2, "")
+        assert err == "aockit: --order applies to TDMA schemes only\n"
+
     def test_insufficient_collections(self, capsys):
         code, _, err = _run(capsys, ["simulate", "--scheme", "tdma-nr",
                                      "--p", "0,0", "--horizon", "3"])
@@ -449,6 +472,17 @@ class TestSweep:
         for row in rows:
             _, _, _, avg, half, _ = row.split(",")
             assert math.isfinite(float(avg)) and math.isfinite(float(half))
+
+    @pytest.mark.parametrize("modes,units", [([], "6.83333"),
+                                             (["--modes", "simulation"], "6.37726")],
+                             ids=["all-modes", "simulation"])
+    def test_slot_ms_overflow_names_the_flag(self, capsys, modes, units):
+        # the theory row overflows first; alone, the simulation row does
+        code, out, err = _run(capsys, ["sweep", "--p", "0.5,0.5", "--t-td", "1e308",
+                                       "--t-fd", "0.2", "--horizon", "1000"] + modes)
+        assert (code, out) == (2, "")
+        assert err == (f"aockit: (0.0 dB, tdma-nr): --t-td 1e+308 times {units} slots "
+                       "exceeds float range\n")
 
     def test_missing_table_file(self, tmp_path, capsys):
         code, _, err = _run(capsys, ["sweep", "--per-table",

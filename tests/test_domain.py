@@ -5,15 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from aockit.domain import (
-    AocTrace,
-    HittingMoments,
-    PerVector,
-    SchemeKind,
-    TimingModel,
-    integrate_trace,
-    make_per_vector,
-)
+from aockit.analysis import HittingMoments
+from aockit.domain import PerVector, SchemeKind, TimingModel, make_per_vector
+from aockit.sim import AocTrace, integrate_trace
 
 
 class TestPerVector:

@@ -280,28 +280,28 @@ class TestTraceProperties:
 
 
 class TestOrderHandling:
-    def test_effective_per_applies_order(self):
+    def test_order_is_not_a_config_argument(self):
+        # a config's p is already in transmission order; callers permute it
         p = make_per_vector([0.1, 0.2, 0.3])
-        cfg = SimConfig(SchemeKind.TDMA_NR, p, 100, 0, order=(3, 1, 2))
-        assert cfg.effective_per().probs == (0.3, 0.1, 0.2)
-        assert SimConfig(SchemeKind.TDMA_NR, p, 100, 0).effective_per() is p
+        with pytest.raises(TypeError):
+            SimConfig(SchemeKind.TDMA_NR, p, 100, 0, order=(3, 1, 2))
 
     def test_r_order_invariance_within_ci(self):
         # permuting the tail devices leaves the TDMA-R distribution alone
         p = make_per_vector([0.05, 0.1, 0.1, 0.1, 0.1, 0.2])
-        a = simulate(SimConfig(SchemeKind.TDMA_R, p, 200_000, 31,
-                               order=(1, 2, 3, 4, 5, 6)))
-        b = simulate(SimConfig(SchemeKind.TDMA_R, p, 200_000, 32,
-                               order=(1, 2, 3, 6, 4, 5)))
+        a = simulate(SimConfig(SchemeKind.TDMA_R, p.permuted((1, 2, 3, 4, 5, 6)),
+                               200_000, 31))
+        b = simulate(SimConfig(SchemeKind.TDMA_R, p.permuted((1, 2, 3, 6, 4, 5)),
+                               200_000, 32))
         combined = math.hypot(a.ci_halfwidth, b.ci_halfwidth)
         assert abs(a.avg_aoc - b.avg_aoc) <= 3.0 * combined
 
     def test_order_changes_nr_statistics(self):
         p = make_per_vector([0.05, 0.1, 0.1, 0.1, 0.1, 0.2])
-        a = simulate(SimConfig(SchemeKind.TDMA_NR, p, 200_000, 8,
-                               order=(1, 2, 3, 4, 5, 6)))
-        b = simulate(SimConfig(SchemeKind.TDMA_NR, p, 200_000, 8,
-                               order=(6, 1, 2, 3, 4, 5)))
+        a = simulate(SimConfig(SchemeKind.TDMA_NR, p.permuted((1, 2, 3, 4, 5, 6)),
+                               200_000, 8))
+        b = simulate(SimConfig(SchemeKind.TDMA_NR, p.permuted((6, 1, 2, 3, 4, 5)),
+                               200_000, 8))
         assert a.avg_aoc != b.avg_aoc
 
 
@@ -320,18 +320,12 @@ class TestErrors:
         dict(horizon=True),
         dict(seed=-1),
         dict(seed=2 ** 64),
-        dict(order=(2, 1, 1)),
-        dict(order=(1, 2, 3)),
     ])
     def test_config_validation(self, kw):
         base = dict(scheme=SchemeKind.TDMA_NR, p=P_HALF, horizon=100, seed=0)
         base.update(kw)
         with pytest.raises(ValueError):
             SimConfig(**base)
-
-    def test_order_rejected_for_fdma(self):
-        with pytest.raises(ValueError, match="TDMA"):
-            SimConfig(SchemeKind.FDMA, P_HALF, 100, 0, order=(2, 1))
 
     def test_rng_name_is_read_only(self):
         res = simulate(SimConfig(SchemeKind.FDMA, P_HALF, 100, 0))

@@ -1,6 +1,7 @@
 import io
 import itertools
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -12,13 +13,16 @@ from aockit.sweep import (
     MODES,
     PerTable,
     SweepRow,
+    _derive_seed,
     default_order_patterns,
     emit_csv,
     emit_rows,
     load_per_table,
     run_order_study,
     run_sweep,
+    simulation_row,
     single_point_table,
+    theory_row,
 )
 
 REF_TIMING = TimingModel(tdma_slot_ms=0.104, fdma_round_ms=0.224)
@@ -311,6 +315,21 @@ class TestRunOrderStudy:
         theory = {(r.scheme, r.order): r.avg_aoc_ms for r in rows if r.mode == "theory"}
         assert theory[(SchemeKind.TDMA_NR, (1, 2, 3, 4))] == \
             theory[(SchemeKind.TDMA_NR, (4, 3, 2, 1))]
+
+    def test_rows_are_the_permuted_rows_with_the_order(self):
+        rows = run_order_study(self.P, self.ORDERS, UNIT, horizon=2_000, seed=2)
+        want = []
+        for order in self.ORDERS:
+            seen = self.P.permuted(order)
+            label = "-".join(map(str, order))
+            for scheme in (SchemeKind.TDMA_NR, SchemeKind.TDMA_R):
+                run_seed = _derive_seed(2, "order", label, scheme.token)
+                want += [
+                    replace(theory_row(0.0, scheme, seen, UNIT), order=order),
+                    replace(simulation_row(0.0, scheme, seen, UNIT, 2_000, run_seed),
+                            order=order),
+                ]
+        assert rows == want
 
     def test_rejects_bad_orders(self):
         with pytest.raises(ValueError):
