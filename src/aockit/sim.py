@@ -12,15 +12,22 @@ That convention pins the seed-to-trace mapping, so identical configs give
 bit-identical results; the generator name travels in SimResult.rng_name.
 
 All draws come from one stream, _draws, in arrays of at most _CHUNK
-uniforms.  Each kernel holds one array (plus at most N - 1 carried draws)
-at a time, never the whole horizon, and walks the draws its own way:
+uniforms.  Each kernel holds one array at a time, never the whole horizon,
+plus an O(N) carry between arrays, and walks the draws its own way:
 
-  TDMA-NR  attempt jumps: vectorised passes find where each possible
+  TDMA-NR  attempt jumps: vectorised passes over as many leading devices
+           as pay for themselves at the given PERs find where each possible
            attempt start would abort, and a Python walk visits only the
-           attempts, not the slots;
-  TDMA-R   a per-slot Python loop over each array's draws as a list;
+           attempts, not the slots.  It carries at most N - 1 draws.
+  TDMA-R   collection jumps up to _R_JUMP devices: N - 1 gathers map every
+           success of device 1 to the end of its cycle, and a Python walk
+           visits only the collections.  It carries the unfinished cycle's
+           transmitting device and generation slot, not draws.  Above
+           _R_JUMP devices the gathers cost more than a per-slot Python
+           loop, which runs there instead.
   FDMA     fully vectorised: each array is reshaped to rounds of N draws,
            and the collections are the rows in which every device succeeds.
+           Below _FDMA_ROWS devices the rows are tested device-major.
 
 ACK and feedback are instantaneous and error-free inside the slot
 abstraction; MAC overhead lives entirely in TimingModel.  The horizon
@@ -43,7 +50,10 @@ __all__ = ["RNG_NAME", "AocTrace", "SimConfig", "SimResult", "integrate_trace",
 RNG_NAME = "PCG64"
 
 _CHUNK = 1 << 16     # uniforms drawn per chunk
-_DENSE = 16          # leading TDMA-NR devices resolved by vectorised passes
+_DENSE = 16          # most leading TDMA-NR devices resolved by vectorised passes
+_TAIL_RATE = 0.005   # TDMA-NR attempt starts per slot left past the passes
+_R_JUMP = 10         # most TDMA-R devices for the collection-jump kernel
+_FDMA_ROWS = 32      # fewest FDMA devices for the row-wise success test
 
 # Student-t 97.5% quantiles for 1..19 degrees of freedom: the batch-means
 # CI uses at most 20 batches.  Each entry is the float scipy.stats.t.ppf
@@ -242,13 +252,13 @@ def _run_tdma_nr(probs, horizon: int, rng) -> tuple[np.ndarray, np.ndarray]:
     # device k and aborts at the first k with u[s + k] < p_k, so the next
     # attempt starts at s + k + 1; otherwise it collects at s + N and the
     # next attempt starts there.  Vectorised passes give every start in the
-    # chunk its abort step for the first _DENSE devices, and a Python walk
+    # chunk its abort step for the first `dense` devices, and a Python walk
     # visits only the attempt starts, checking the rare attempts that pass
-    # all _DENSE one slice at a time.  Starts whose N draws do not all fit
+    # all of those one slice at a time.  Starts whose N draws do not all fit
     # in the chunk carry over with their draws into the next chunk; those
     # left at the horizon could not collect before it.
     n = len(probs)
-    dense = min(n, _DENSE)
+    dense = _dense_width(probs)
     long_tail = n > dense
     rest = np.asarray(probs[dense:])
     ends = []      # collection end slots, one float array per chunk
@@ -285,7 +295,92 @@ def _run_tdma_nr(probs, horizon: int, rng) -> tuple[np.ndarray, np.ndarray]:
     return times, np.full(times.size, float(n))
 
 
-def _run_tdma_r(probs, horizon: int, rng) -> tuple[list, list]:
+def _dense_width(probs) -> int:
+    # Up to _DENSE devices every device gets a pass and no attempt needs a
+    # slice check.  Beyond that, passes pay only while many attempt starts
+    # survive them: take the narrowest width w after which at most
+    # _TAIL_RATE attempt starts per slot are left to slice-check.
+    n = len(probs)
+    if n <= _DENSE:
+        return n
+    survive = np.cumprod(np.subtract(1.0, probs))   # P(devices 1..k succeed)
+    starts = 1.0 / (1.0 + survive[:n - 1].sum())    # attempt starts per slot
+    return 1 + int(np.count_nonzero(starts * survive[:_DENSE - 1] > _TAIL_RATE))
+
+
+def _run_tdma_r(probs, horizon: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    # Collection-jump kernel.  Device 1 transmits until its first success
+    # g (the generation slot); each later device transmits from the slot
+    # after its predecessor's success until its own, and the cycle collects
+    # one slot after device N's success, with reset age end - g.  Per chunk
+    # and device k, hits lists the success slots (plus the sentinel `size`)
+    # and after[t] is the index in hits of the first success after slot t,
+    # so one gather per device carries every device-1 success on to that
+    # device's success in its cycle, and a Python walk visits only the
+    # collections.  A cycle unfinished at the chunk's end carries as
+    # (transmitting device, generation slot), never as draws, and the next
+    # chunk finishes it with at most N scalar lookups.  Above _R_JUMP
+    # devices the gathers cost more than the slot loop they replace.
+    n = len(probs)
+    if n > _R_JUMP:
+        return _tdma_r_slots(probs, horizon, rng)
+    ends = []      # collection end slots, one int array per chunk
+    gens = []      # their cycles' generation slots
+    pos = 0        # device transmitting at slot `base` (0-based)
+    gen = 0        # generation slot of the cycle in progress at `base`
+    base = 0       # slot index of chunk[0]
+    for chunk in _draws(rng, horizon):
+        size = chunk.size
+        ok = np.empty(size + 1, bool)
+        ok[size] = True
+        carried = pos  # device the carried cycle waits on, 0 if none
+        c = -1         # slot of the carried cycle's latest success
+        stops = []     # per device: the cycles from stops[k] on do not pass it
+        for k, p in enumerate(probs):
+            np.greater_equal(chunk, p, out=ok[:size])
+            hits = np.flatnonzero(ok)
+            # int32: the same counts at half the cost of the default int64
+            after = np.cumsum(ok, dtype=np.int32)
+            after[size] -= 1    # the sentinel maps to itself
+            if k == 0:
+                g = j = hits
+                after1 = after
+            else:
+                j = hits.take(after.take(j))
+            # j is nondecreasing, so the cycles that fail to pass are a tail
+            stops.append(int(np.searchsorted(j, size)))
+            if carried and k >= carried and c < size:
+                c = hits[0] if k == carried else hits[after[c]]
+                if c == size:
+                    pos = k
+        first = 0      # index in g of the first cycle begun here
+        if carried:
+            if c == size:
+                base += size
+                continue
+            ends.append([base + c + 1])
+            gens.append([gen])
+            first = int(after1[c])
+        nxt = memoryview(after1.take(j))
+        stop = stops[-1]
+        a = first
+        walk = []
+        while a < stop:
+            walk.append(a)
+            a = nxt[a]
+        idx = np.array(walk, dtype=np.intp)
+        ends.append(j.take(idx) + (base + 1))
+        gens.append(g.take(idx) + base)
+        # the cycle begun at g[a] is unfinished: the devices it passed
+        pos = sum(a < s for s in stops)
+        if pos:
+            gen = base + int(g[a])
+        base += size
+    times = np.concatenate(ends).astype(float)
+    return times, times - np.concatenate(gens)
+
+
+def _tdma_r_slots(probs, horizon: int, rng) -> tuple[list, list]:
     n = len(probs)
     times: list[float] = []
     ages: list[float] = []
@@ -316,7 +411,13 @@ def _run_fdma(probs, horizon: int, rng) -> tuple[np.ndarray, np.ndarray]:
     done = 0
     for chunk in _draws(rng, horizon * n, n):
         u = chunk.reshape(-1, n)   # row-major: device draws in slot order
-        hits.append(np.flatnonzero((u >= p).all(axis=1)) + (done + 1))
+        if n < _FDMA_ROWS:
+            # all() over a short last axis is slow in numpy; reduce a
+            # device-major copy over its leading axis instead
+            ok = np.greater_equal(u.T, p[:, None], order="C").all(axis=0)
+        else:
+            ok = (u >= p).all(axis=1)
+        hits.append(np.flatnonzero(ok) + (done + 1))
         done += len(u)
     times = np.concatenate(hits).astype(float)
     return times, np.ones(times.size)

@@ -181,9 +181,12 @@ class TestDrawConvention:
         assert np.array_equal(res.trace.times, times)
         assert np.all(res.trace.ages == 1.0)
 
+    # N on both sides of each kernel's path choice: TDMA-R's jump kernel
+    # and FDMA's device-major success test
     @pytest.mark.parametrize("horizon", list(_HORIZONS))
     @pytest.mark.parametrize("per", ["zero", "light", "mixed"])
-    @pytest.mark.parametrize("n", [1, 2, 6, 17, 48])
+    @pytest.mark.parametrize("n", [1, 2, 6, sim._R_JUMP, sim._R_JUMP + 1, 17,
+                                   sim._FDMA_ROWS - 1, sim._FDMA_ROWS, 48])
     @pytest.mark.parametrize("scheme", list(SchemeKind), ids=lambda k: k.token)
     def test_kernel_matches_reference(self, scheme, n, per, horizon):
         probs = _per_vector(per, n)
@@ -194,10 +197,33 @@ class TestDrawConvention:
         want_times, want_ages = _reference_trace(scheme, probs, h, seed)
         assert np.array_equal(times, want_times)
         assert np.array_equal(ages, want_ages)
-        if scheme is not SchemeKind.FDMA and (per, horizon) == ("zero", "3chunk+17") \
-                and chunk % n:
-            # some collected attempt straddles a chunk boundary
-            assert np.any((times - n) % chunk > times % chunk)
+        if horizon == "3chunk+17" and n > 1 and (
+                (scheme is SchemeKind.TDMA_NR and per == "zero" and chunk % n)
+                or (scheme is SchemeKind.TDMA_R and (per != "zero" or chunk % n))):
+            # some collected attempt (TDMA-NR) or cycle from its generation
+            # slot on (TDMA-R) straddles a chunk boundary
+            assert np.any((times - ages) // chunk < (times - 1) // chunk)
+
+    @pytest.mark.parametrize("chunk", [3, 8])
+    def test_tdma_r_cycle_across_chunks(self, chunk):
+        # a lossy second device stretches cycles over several chunks, so
+        # the unfinished cycle's state carries through whole chunks
+        probs, horizon, seed = (0.1, 0.95, 0.0), 3000, 17
+        want_times, want_ages = _tdma_r_reference(probs, _draws(seed, horizon))
+        with mock.patch.object(sim, "_CHUNK", chunk):
+            times, ages = _kernel_trace(SchemeKind.TDMA_R, probs, horizon, seed)
+        assert np.array_equal(times, want_times)
+        assert np.array_equal(ages, want_ages)
+        # a cycle longer than two chunks spans at least three
+        assert np.any(ages > 2 * chunk)
+
+    def test_dense_width_follows_the_pers(self):
+        # every device gets a pass up to _DENSE; beyond that the passes
+        # stop once few attempt starts survive them
+        assert sim._dense_width((0.5,) * 6) == 6
+        assert sim._dense_width((0.01,) * 48) == sim._DENSE
+        assert sim._dense_width((0.45,) * 48) == 8
+        assert sim._dense_width((0.9,) * 256) == 3
 
     @settings(max_examples=150, deadline=None)
     @given(scheme=st.sampled_from(list(SchemeKind)),
@@ -206,14 +232,19 @@ class TestDrawConvention:
            horizon=st.integers(1, 300),
            seed=st.integers(0, 2 ** 64 - 1),
            chunk=st.integers(1, 40),
-           dense=st.integers(1, 4))
-    def test_simulate_matches_reference(self, scheme, probs, horizon, seed, chunk, dense):
+           dense=st.integers(1, 4),
+           cutoff=st.integers(0, 6))
+    def test_simulate_matches_reference(self, scheme, probs, horizon, seed, chunk,
+                                        dense, cutoff):
         # tiny chunks and dense widths put chunk boundaries and slice-checked
-        # attempt tails inside short horizons
+        # attempt tails inside short horizons; the cutoff sends N <= 6 down
+        # either TDMA-R path and either FDMA success test
         want_times, want_ages = _reference_trace(scheme, probs, horizon, seed)
         config = SimConfig(scheme, make_per_vector(probs), horizon, seed)
         with mock.patch.object(sim, "_CHUNK", chunk), \
-                mock.patch.object(sim, "_DENSE", dense):
+                mock.patch.object(sim, "_DENSE", dense), \
+                mock.patch.object(sim, "_R_JUMP", cutoff), \
+                mock.patch.object(sim, "_FDMA_ROWS", cutoff + 1):
             if want_times.size < 2:
                 with pytest.raises(ValueError, match="insufficient collections"):
                     simulate(config)
