@@ -15,8 +15,7 @@ All draws come from one stream, _draws, in arrays of at most _CHUNK
 uniforms.  Each kernel holds one array at a time, never the whole horizon,
 plus an O(N) carry between arrays, and walks the draws its own way:
 
-  TDMA-NR  attempt jumps: vectorised passes over as many leading devices
-           as pay for themselves at the given PERs find where each possible
+  TDMA-NR  attempt jumps: vectorised passes find where each possible
            attempt start would abort, and a Python walk visits only the
            attempts, not the slots.  It carries at most N - 1 draws.
   TDMA-R   collection jumps up to _R_JUMP devices: N - 1 gathers map every
@@ -50,8 +49,7 @@ __all__ = ["RNG_NAME", "AocTrace", "SimConfig", "SimResult", "integrate_trace",
 RNG_NAME = "PCG64"
 
 _CHUNK = 1 << 16     # uniforms drawn per chunk
-_DENSE = 16          # most leading TDMA-NR devices resolved by vectorised passes
-_TAIL_RATE = 0.005   # TDMA-NR attempt starts per slot left past the passes
+_DENSE = 16          # leading TDMA-NR devices resolved by vectorised passes
 _R_JUMP = 10         # most TDMA-R devices for the collection-jump kernel
 _FDMA_ROWS = 32      # fewest FDMA devices for the row-wise success test
 
@@ -252,13 +250,13 @@ def _run_tdma_nr(probs, horizon: int, rng) -> tuple[np.ndarray, np.ndarray]:
     # device k and aborts at the first k with u[s + k] < p_k, so the next
     # attempt starts at s + k + 1; otherwise it collects at s + N and the
     # next attempt starts there.  Vectorised passes give every start in the
-    # chunk its abort step for the first `dense` devices, and a Python walk
+    # chunk its abort step for the first _DENSE devices, and a Python walk
     # visits only the attempt starts, checking the rare attempts that pass
-    # all of those one slice at a time.  Starts whose N draws do not all fit
+    # all _DENSE one slice at a time.  Starts whose N draws do not all fit
     # in the chunk carry over with their draws into the next chunk; those
     # left at the horizon could not collect before it.
     n = len(probs)
-    dense = _dense_width(probs)
+    dense = min(n, _DENSE)
     long_tail = n > dense
     rest = np.asarray(probs[dense:])
     ends = []      # collection end slots, one float array per chunk
@@ -293,19 +291,6 @@ def _run_tdma_nr(probs, horizon: int, rng) -> tuple[np.ndarray, np.ndarray]:
         base += s
     times = np.concatenate(ends)
     return times, np.full(times.size, float(n))
-
-
-def _dense_width(probs) -> int:
-    # Up to _DENSE devices every device gets a pass and no attempt needs a
-    # slice check.  Beyond that, passes pay only while many attempt starts
-    # survive them: take the narrowest width w after which at most
-    # _TAIL_RATE attempt starts per slot are left to slice-check.
-    n = len(probs)
-    if n <= _DENSE:
-        return n
-    survive = np.cumprod(np.subtract(1.0, probs))   # P(devices 1..k succeed)
-    starts = 1.0 / (1.0 + survive[:n - 1].sum())    # attempt starts per slot
-    return 1 + int(np.count_nonzero(starts * survive[:_DENSE - 1] > _TAIL_RATE))
 
 
 def _run_tdma_r(probs, horizon: int, rng) -> tuple[np.ndarray, np.ndarray]:

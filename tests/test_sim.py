@@ -217,14 +217,6 @@ class TestDrawConvention:
         # a cycle longer than two chunks spans at least three
         assert np.any(ages > 2 * chunk)
 
-    def test_dense_width_follows_the_pers(self):
-        # every device gets a pass up to _DENSE; beyond that the passes
-        # stop once few attempt starts survive them
-        assert sim._dense_width((0.5,) * 6) == 6
-        assert sim._dense_width((0.01,) * 48) == sim._DENSE
-        assert sim._dense_width((0.45,) * 48) == 8
-        assert sim._dense_width((0.9,) * 256) == 3
-
     @settings(max_examples=150, deadline=None)
     @given(scheme=st.sampled_from(list(SchemeKind)),
            probs=st.lists(st.sampled_from([0.0, 0.01, 0.1, 0.3, 0.5, 0.9, 0.99]),
