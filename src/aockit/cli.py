@@ -52,7 +52,8 @@ _PHY_FLAGS = {
 }
 
 # every field an error message may name -> the flag that sets it
-_FIELD_FLAGS = {**_PHY_FLAGS, "tdma_slot_ms": "--t-td", "fdma_round_ms": "--t-fd"}
+_FIELD_FLAGS = {**_PHY_FLAGS, "tdma_slot_ms": "--t-td", "fdma_round_ms": "--t-fd",
+                "horizon": "--horizon"}
 
 
 def _tokens(text: str, flag: str | None = None, sep: str = ",") -> list[str]:
@@ -295,9 +296,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _name_flags(message: str, args) -> str:
-    """The message with each PhyProfile or TimingModel field it names
-    replaced by the flag that sets it.  Under --idealized the FDMA round,
-    N times --t-td, is named the --idealized round."""
+    """The message with each PhyProfile, TimingModel or SimConfig field it
+    names replaced by the flag that sets it.  Under --idealized the FDMA
+    round, N times --t-td, is named the --idealized round."""
     flags = _FIELD_FLAGS
     if getattr(args, "idealized", False):
         flags = {**flags, "fdma_round_ms": "--idealized round"}

@@ -18,15 +18,15 @@ TABLE = """snr_db,scheme,device_id,per
 10,fdma,2,0.25
 """
 
-# `aockit sweep --p 0.3,0.2,0.1 --seed 7 --horizon H` stdout, recorded with
-# the half-width quantile taken from scipy.stats.t.ppf; the FDMA rows use
-# the 3-device round, 0.128 ms (16 subcarriers per device).  The horizons give
-# 1 usable batch (inf) for both TDMA schemes at 10, 2 batches for every
-# scheme at 13, 5 to 10 at 30 and the full 20 at 5000.
+# `aockit sweep --p 0.3,0.2,0.1 --seed 7 --horizon H` stdout; the FDMA rows
+# use the 3-device round, 0.128 ms (16 subcarriers per device).  The
+# horizons 10 to 30 give 1 to 11 renewal intervals (1 for both TDMA schemes
+# at 10), below the _MIN_CYCLES floor, so every half-width there is inf;
+# 5000 gives 1,101 to 2,555 intervals and finite half-widths.
 SWEEP_GOLDEN = {
     10: (
         'snr_db,scheme,mode,avg_aoc_ms,ci_halfwidth_ms,seed\n'
-        '0.0,fdma,simulation,0.234667,0.406599,17578680901711760161\n'
+        '0.0,fdma,simulation,0.234667,inf,17578680901711760161\n'
         '0.0,fdma,theory,0.317968,0.0,0\n'
         '0.0,tdma-nr,simulation,0.624,inf,7718441288640780397\n'
         '0.0,tdma-nr,theory,0.602101,0.0,0\n'
@@ -35,29 +35,29 @@ SWEEP_GOLDEN = {
     ),
     13: (
         'snr_db,scheme,mode,avg_aoc_ms,ci_halfwidth_ms,seed\n'
-        '0.0,fdma,simulation,0.419556,1.62639,17578680901711760161\n'
+        '0.0,fdma,simulation,0.419556,inf,17578680901711760161\n'
         '0.0,fdma,theory,0.317968,0.0,0\n'
-        '0.0,tdma-nr,simulation,0.5824,0.660723,7718441288640780397\n'
+        '0.0,tdma-nr,simulation,0.5824,inf,7718441288640780397\n'
         '0.0,tdma-nr,theory,0.602101,0.0,0\n'
-        '0.0,tdma-r,simulation,0.548889,0.330361,11454282878471336457\n'
+        '0.0,tdma-r,simulation,0.548889,inf,11454282878471336457\n'
         '0.0,tdma-r,theory,0.561002,0.0,0\n'
     ),
     30: (
         'snr_db,scheme,mode,avg_aoc_ms,ci_halfwidth_ms,seed\n'
-        '0.0,fdma,simulation,0.352,0.0749187,17578680901711760161\n'
+        '0.0,fdma,simulation,0.352,inf,17578680901711760161\n'
         '0.0,fdma,theory,0.317968,0.0,0\n'
-        '0.0,tdma-nr,simulation,0.54288,0.0540202,7718441288640780397\n'
+        '0.0,tdma-nr,simulation,0.54288,inf,7718441288640780397\n'
         '0.0,tdma-nr,theory,0.602101,0.0,0\n'
-        '0.0,tdma-r,simulation,0.552741,0.0827605,11454282878471336457\n'
+        '0.0,tdma-r,simulation,0.552741,inf,11454282878471336457\n'
         '0.0,tdma-r,theory,0.561002,0.0,0\n'
     ),
     5000: (
         'snr_db,scheme,mode,avg_aoc_ms,ci_halfwidth_ms,seed\n'
-        '0.0,fdma,simulation,0.318463,0.00855346,17578680901711760161\n'
+        '0.0,fdma,simulation,0.318463,0.00934123,17578680901711760161\n'
         '0.0,fdma,theory,0.317968,0.0,0\n'
-        '0.0,tdma-nr,simulation,0.605841,0.014815,7718441288640780397\n'
+        '0.0,tdma-nr,simulation,0.605841,0.0136772,7718441288640780397\n'
         '0.0,tdma-nr,theory,0.602101,0.0,0\n'
-        '0.0,tdma-r,simulation,0.558011,0.00681223,11454282878471336457\n'
+        '0.0,tdma-r,simulation,0.558011,0.00648618,11454282878471336457\n'
         '0.0,tdma-r,theory,0.561002,0.0,0\n'
     ),
 }
@@ -383,7 +383,7 @@ class TestHorizonFlag:
     ])
     def test_checked_before_any_row(self, capsys, argv):
         code, out, err = _run(capsys, argv + ["--horizon", "0"])
-        assert (code, out, err) == (2, "", "aockit: horizon must be >= 1, got 0\n")
+        assert (code, out, err) == (2, "", "aockit: --horizon must be >= 1, got 0\n")
 
 
 class TestSimulate:
@@ -413,6 +413,13 @@ class TestSimulate:
                                      "--p", "0,0", "--horizon", "3"])
         assert code == 2
         assert "insufficient collections" in err
+
+    def test_insufficient_collections_names_the_horizon(self, capsys):
+        code, out, err = _run(capsys, ["simulate", "--scheme", "fdma",
+                                       "--p", "0.9,0.9,0.9", "--horizon", "50"])
+        assert (code, out) == (2, "")
+        assert err == ("aockit: insufficient collections: 0 in --horizon 50 rounds, "
+                       "need 2\n")
 
     def test_requires_p(self, capsys):
         code, _, err = _run(capsys, ["simulate", "--scheme", "fdma"])
@@ -459,7 +466,8 @@ class TestSweep:
         code, out, err = _run(capsys, ["sweep", "--p", "0.95,0.95,0.95,0.95",
                                        "--horizon", "20"])
         assert (code, out) == (2, "")
-        assert err == "aockit: (0.0 dB, fdma): insufficient collections\n"
+        assert err == ("aockit: (0.0 dB, fdma): insufficient collections: 0 in "
+                       "--horizon 20 rounds, need 2\n")
 
     def test_huge_slot_duration_gives_finite_rows(self, capsys):
         # the simulated averages and half-widths are finite in ms, so the

@@ -278,7 +278,8 @@ class TestRunSweep:
                                    schemes=(SchemeKind.TDMA_NR,), snr_db=5.0)
         with pytest.raises(ValueError) as info:
             run_sweep(table, UNIT, horizon=20, seed=0)
-        assert str(info.value) == "(5.0 dB, tdma-nr): insufficient collections"
+        assert str(info.value) == \
+            "(5.0 dB, tdma-nr): insufficient collections: 0 in horizon 20 slots, need 2"
 
 
 class TestRunOrderStudy:
@@ -344,8 +345,9 @@ class TestRunOrderStudy:
     def test_error_names_its_row_and_order(self):
         with pytest.raises(ValueError) as info:
             run_order_study(self.P, [(6, 1, 2, 3, 4, 5)], UNIT, horizon=3, seed=0)
-        assert str(info.value) == \
-            "(0.0 dB, tdma-nr, order 6-1-2-3-4-5): insufficient collections"
+        assert str(info.value) == (
+            "(0.0 dB, tdma-nr, order 6-1-2-3-4-5): insufficient collections: "
+            "0 in horizon 3 slots, need 2")
 
 
 class TestSeedCheck:
