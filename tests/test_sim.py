@@ -417,6 +417,21 @@ class TestQuantile:
         assert sim._MIN_CYCLES - 1 >= 20
 
 
+class TestQuantileTable:
+    """_t975 against scipy on a table of 19 doubling degrees of freedom,
+    df = 20 * 2^(n-1) for n = 1..19: the gap stays within the truncation
+    error 2.4e-7 * (20/df)^5 plus eight ulps of rounding, so from about
+    df = 1280 up the expansion agrees with scipy to rounding."""
+
+    @pytest.mark.parametrize("n", range(1, 20))
+    def test_matches_scipy_exactly(self, n):
+        stats = pytest.importorskip("scipy.stats")
+        df = 20 * 2 ** (n - 1)
+        got = sim._t975(df)
+        want = float(stats.t.ppf(0.975, df))
+        assert abs(got - want) <= 2.4e-7 * (20 / df) ** 5 + 8 * math.ulp(want)
+
+
 def _binomial_tails(hits, runs, p):
     # P(X <= hits) and P(X >= hits) for X ~ Binomial(runs, p)
     pmf = [math.exp(math.lgamma(runs + 1) - math.lgamma(i + 1) - math.lgamma(runs - i + 1)
