@@ -103,11 +103,9 @@ def _over(x: float, m: float, e: int) -> float:
         return math.inf
 
 
-def _in_range(value: float, scheme: SchemeKind, n: int) -> float:
+def _in_range(value: float, n: int) -> float:
     if not math.isfinite(value):
-        raise ValueError(
-            f"{scheme.token}: average AoC exceeds float range (N = {n})"
-        )
+        raise ValueError(f"average AoC exceeds float range (N = {n})")
     return value
 
 
@@ -187,7 +185,7 @@ def tdma_nr_avg_aoc_slots(p: PerVector) -> float:
     a, _, u, v = _tdma_nr_passes(p.probs)
     m, e = _survival(p.probs)
     avg = p.n + u / (2.0 * a[0]) + _over(0.5 * v, m, e)
-    return _in_range(avg, SchemeKind.TDMA_NR, p.n)
+    return _in_range(avg, p.n)
 
 
 def _tdma_r_terms(probs) -> tuple[list, float, float, float]:
@@ -267,7 +265,7 @@ def fdma_avg_aoc_rounds(p: PerVector) -> float:
     m, e = _survival(p.probs)
     gamma = math.ldexp(m, e)
     avg = 1.0 + _over(2.0 - gamma, 2.0 * m, e)
-    return _in_range(avg, SchemeKind.FDMA, p.n)
+    return _in_range(avg, p.n)
 
 
 def avg_aoc_ms(scheme: SchemeKind, p: PerVector, timing: TimingModel) -> float:

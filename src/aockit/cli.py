@@ -151,8 +151,13 @@ def _resolve_timing(args, table) -> TimingModel:
     t_td = tdma_slot_ms(phy) if args.t_td is None else args.t_td
     if args.idealized:
         return idealized_timing(phy.num_devices, t_td)
-    t_fd = fdma_round_ms(phy.fdma_split()) if args.t_fd is None else args.t_fd
-    return TimingModel(tdma_slot_ms=t_td, fdma_round_ms=t_fd)
+    if args.t_fd is not None:
+        return TimingModel(tdma_slot_ms=t_td, fdma_round_ms=args.t_fd)
+    try:
+        split = phy.fdma_split()
+    except ValueError as exc:
+        raise ValueError(f"{exc} (or give --t-fd)") from None
+    return TimingModel(tdma_slot_ms=t_td, fdma_round_ms=fdma_round_ms(split))
 
 
 def _cmd_theory(args) -> int:

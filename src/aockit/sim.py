@@ -13,20 +13,22 @@ bit-identical results; the generator name travels in SimResult.rng_name.
 
 All draws come from one stream, _draws, in arrays of at most _CHUNK
 uniforms.  Each kernel holds one array at a time, never the whole horizon,
-plus an O(N) carry between arrays, and walks the draws its own way:
+plus a carry of one or two integers between arrays:
 
-  TDMA-NR  attempt jumps: vectorised passes find where each possible
-           attempt start would abort, and a Python walk visits only the
-           attempts, not the slots.  It carries at most N - 1 draws.
-  TDMA-R   collection jumps up to _R_JUMP devices: N - 1 gathers map every
-           success of device 1 to the end of its cycle, and a Python walk
-           visits only the collections.  It carries the unfinished cycle's
-           transmitting device and generation slot, not draws.  Above
-           _R_JUMP devices the gathers cost more than a per-slot Python
-           loop, which runs there instead.
+  TDMA-NR  counting: the sender is the slots since the last failure, mod N,
+           and a failure-free run of L slots collects L // N times.
+  TDMA-R   counting: the sender is the successes since the last collection,
+           mod N; every N-th success ends a cycle, and the first one of the
+           cycle is its generation slot.
   FDMA     fully vectorised: each array is reshaped to rounds of N draws,
            and the collections are the rows in which every device succeeds.
            Below _FDMA_ROWS devices the rows are tested device-major.
+
+Both TDMA kernels split each array with numpy into sure successes (u >=
+max p), sure failures (u < min p) and device-dependent draws, and a Python
+loop visits only the device-dependent ones.  Their cost per slot therefore
+follows the spread of the PERs, not N: vector passes alone for equal PERs,
+and more than a plain slot loop's for PERs spread across [0, 0.9).
 
 ACK and feedback are instantaneous and error-free inside the slot
 abstraction; MAC overhead lives entirely in TimingModel.  The horizon
@@ -54,8 +56,6 @@ __all__ = ["RNG_NAME", "AocTrace", "SimConfig", "SimResult", "integrate_trace",
 RNG_NAME = "PCG64"
 
 _CHUNK = 1 << 16     # uniforms drawn per chunk
-_DENSE = 16          # leading TDMA-NR devices resolved by vectorised passes
-_R_JUMP = 10         # most TDMA-R devices for the collection-jump kernel
 _FDMA_ROWS = 32      # fewest FDMA devices for the row-wise success test
 _MIN_CYCLES = 200    # fewest renewal intervals for a finite CI half-width
 
@@ -230,147 +230,108 @@ def _draws(rng: np.random.Generator, count: int, step: int = 1):
 
 
 def _run_tdma_nr(probs, horizon: int, rng) -> tuple[np.ndarray, np.ndarray]:
-    # Attempt-jump kernel.  An attempt starting at slot s draws u[s + k] for
-    # device k and aborts at the first k with u[s + k] < p_k, so the next
-    # attempt starts at s + k + 1; otherwise it collects at s + N and the
-    # next attempt starts there.  Vectorised passes give every start in the
-    # chunk its abort step for the first _DENSE devices, and a Python walk
-    # visits only the attempt starts, checking the rare attempts that pass
-    # all _DENSE one slice at a time.  Starts whose N draws do not all fit
-    # in the chunk carry over with their draws into the next chunk; those
-    # left at the horizon could not collect before it.
+    # Counting kernel.  Device k (0-based) sends when the slots since the
+    # last failure number k mod N, so a failure-free run of L slots collects
+    # at its N-th, 2N-th, ... slot, L // N times, each with reset age N.  A
+    # draw below min(p) fails and one at or above max(p) succeeds whatever
+    # the device; a Python loop resolves the device-dependent draws in
+    # between, but only where they can matter: in a stretch of at least N
+    # draws without a sure failure, or in the stretch still open at the
+    # chunk's end, which continues into the next chunk.  The carry is the
+    # open run's length mod N.
     n = len(probs)
-    dense = min(n, _DENSE)
-    long_tail = n > dense
-    rest = np.asarray(probs[dense:])
-    ends = []      # collection end slots, one float array per chunk
-    carry = np.empty(0)
-    base = 0       # slot index of buf[0]
-    for chunk in _draws(rng, horizon):
-        buf = np.concatenate((carry, chunk))
-        stop = buf.size - n + 1     # starts whose attempt fits in buf
-        s = 0
-        starts = []
-        if stop > 0:
-            fail = np.zeros(stop, np.uint8)
-            # descending k, so the first failing device's step is kept
-            for k in range(dense - 1, -1, -1):
-                np.putmask(fail, buf[k:k + stop] < probs[k], k + 1)
-            steps = memoryview(fail)    # Python ints without a tolist copy
-            while s < stop:
-                f = steps[s]
-                if f:
-                    s += f
-                    continue
-                if long_tail:
-                    hit = buf[s + dense:s + n] < rest
-                    k = int(hit.argmax())
-                    if hit[k]:
-                        s += dense + k + 1
-                        continue
-                starts.append(s)
-                s += n
-        ends.append(np.array(starts, dtype=float) + (base + n))
-        carry = buf[s:]
-        base += s
-    times = np.concatenate(ends)
+    lo, hi = min(probs), max(probs)
+    ends = []      # collection end slots, one int array per chunk
+    run = 0        # failure-free slots just before `base`, mod N
+    base = 0       # slot index of u[0]
+    for u in _draws(rng, horizon):
+        maybe = np.flatnonzero(u < hi)    # the draws that may fail
+        v = u[maybe]
+        fail = v < lo
+        # the failure-free stretches lie between consecutive bounds (the
+        # first one extends back over the carried run); dep[r] is the r-th
+        # device-dependent draw's place in maybe, and dep[r] - r the
+        # stretch it lies in
+        bounds = np.concatenate(([-1 - run], maybe[fail], [u.size]))
+        dep = np.flatnonzero(~fail)
+        k = dep - np.arange(dep.size)
+        wide = np.diff(bounds) > n
+        wide[-1] = True
+        keep = wide[k]
+        dep, prev = dep[keep], bounds[k[keep]]
+        last = -1 - run     # latest failure so far
+        failed = []
+        for i, x, f in zip(maybe[dep].tolist(), v[dep].tolist(), prev.tolist()):
+            if f > last:
+                last = f
+            if x < probs[(i - last - 1) % n]:
+                failed.append(i)
+                last = i
+        if failed:
+            fail[np.searchsorted(maybe, failed)] = True
+            bounds = np.concatenate(([-1 - run], maybe[fail], [u.size]))
+        gaps = np.diff(bounds) - 1      # failure-free run lengths
+        count = gaps // n
+        runs = np.flatnonzero(count)
+        c = count[runs]
+        # run r collects at bounds[r] + 1 + N * m for m = 1 .. count[r]
+        first = bounds[runs] + (1 + n + base) - n * (np.cumsum(c) - c)
+        ends.append(np.repeat(first, c) + n * np.arange(int(c.sum())))
+        run = int(gaps[-1] % n)
+        base += u.size
+    times = np.concatenate(ends).astype(float)
     return times, np.full(times.size, float(n))
 
 
 def _run_tdma_r(probs, horizon: int, rng) -> tuple[np.ndarray, np.ndarray]:
-    # Collection-jump kernel.  Device 1 transmits until its first success
-    # g (the generation slot); each later device transmits from the slot
-    # after its predecessor's success until its own, and the cycle collects
-    # one slot after device N's success, with reset age end - g.  Per chunk
-    # and device k, hits lists the success slots (plus the sentinel `size`)
-    # and after[t] is the index in hits of the first success after slot t,
-    # so one gather per device carries every device-1 success on to that
-    # device's success in its cycle, and a Python walk visits only the
-    # collections.  A cycle unfinished at the chunk's end carries as
-    # (transmitting device, generation slot), never as draws, and the next
-    # chunk finishes it with at most N scalar lookups.  Above _R_JUMP
-    # devices the gathers cost more than the slot loop they replace.
+    # Counting kernel.  Device k (0-based) sends when the successes since
+    # the last collection number k, so the sender of a slot is the count of
+    # earlier successes mod N.  Every N-th success ends a cycle, which
+    # collects one slot later; the cycle's first success, device 1's, is
+    # its generation slot, and the reset age is end - generation slot.  A
+    # draw at or above max(p) succeeds and one below min(p) fails whatever
+    # the device, so a Python loop visits only the device-dependent draws
+    # in between, counting the successes before each.  The carry is the
+    # count of the cycle in progress and its generation slot.
     n = len(probs)
-    if n > _R_JUMP:
-        return _tdma_r_slots(probs, horizon, rng)
+    lo, hi = min(probs), max(probs)
+    twice = tuple(probs) * 2    # twice[k + j] is p[(k + j) % N] for k, j < N
     ends = []      # collection end slots, one int array per chunk
     gens = []      # their cycles' generation slots
-    pos = 0        # device transmitting at slot `base` (0-based)
-    gen = 0        # generation slot of the cycle in progress at `base`
-    base = 0       # slot index of chunk[0]
-    for chunk in _draws(rng, horizon):
-        size = chunk.size
-        ok = np.empty(size + 1, bool)
-        ok[size] = True
-        carried = pos  # device the carried cycle waits on, 0 if none
-        c = -1         # slot of the carried cycle's latest success
-        stops = []     # per device: the cycles from stops[k] on do not pass it
-        for k, p in enumerate(probs):
-            np.greater_equal(chunk, p, out=ok[:size])
-            hits = np.flatnonzero(ok)
-            # int32: the same counts at half the cost of the default int64
-            after = np.cumsum(ok, dtype=np.int32)
-            after[size] -= 1    # the sentinel maps to itself
-            if k == 0:
-                g = j = hits
-                after1 = after
-            else:
-                j = hits.take(after.take(j))
-            # j is nondecreasing, so the cycles that fail to pass are a tail
-            stops.append(int(np.searchsorted(j, size)))
-            if carried and k >= carried and c < size:
-                c = hits[0] if k == carried else hits[after[c]]
-                if c == size:
-                    pos = k
-        first = 0      # index in g of the first cycle begun here
-        if carried:
-            if c == size:
-                base += size
-                continue
-            ends.append([base + c + 1])
-            gens.append([gen])
-            first = int(after1[c])
-        nxt = memoryview(after1.take(j))
-        stop = stops[-1]
-        a = first
-        walk = []
-        while a < stop:
-            walk.append(a)
-            a = nxt[a]
-        idx = np.array(walk, dtype=np.intp)
-        ends.append(j.take(idx) + (base + 1))
-        gens.append(g.take(idx) + base)
-        # the cycle begun at g[a] is unfinished: the devices it passed
-        pos = sum(a < s for s in stops)
-        if pos:
-            gen = base + int(g[a])
-        base += size
+    count = 0      # successes of the cycle in progress at `base`
+    gen = 0        # its generation slot, once count > 0
+    base = 0       # slot index of u[0]
+    for u in _draws(rng, horizon):
+        ok = u >= hi
+        maybe = np.flatnonzero(~ok)     # the draws that may fail
+        v = u[maybe]
+        dep = np.flatnonzero(v >= lo)
+        # slot i, the dep[r]-th draw of maybe, has i - dep[r] sure successes
+        # before it, and `extra` dependent ones mod N
+        slots = maybe[dep]
+        won = []
+        extra = 0
+        for i, x, b in zip(slots.tolist(), v[dep].tolist(),
+                           ((slots - dep + count) % n).tolist()):
+            if x >= twice[b + extra]:
+                won.append(i)
+                extra = extra + 1 if extra < n - 1 else 0
+        ok[won] = True
+        # success j is success (count + j) % N of its cycle: the cycle's
+        # last at N - 1, its generation slot at 0 (or carried in)
+        s = np.flatnonzero(ok) + base
+        e = s[n - 1 - count::n]
+        g = s[(n - count) % n::n]
+        if count:
+            g = np.concatenate(([gen], g))
+        ends.append(e + 1)
+        gens.append(g[:e.size])
+        count = (count + s.size) % n
+        if 0 < count <= s.size:     # the open cycle began in this chunk
+            gen = int(s[s.size - count])
+        base += u.size
     times = np.concatenate(ends).astype(float)
     return times, times - np.concatenate(gens)
-
-
-def _tdma_r_slots(probs, horizon: int, rng) -> tuple[list, list]:
-    n = len(probs)
-    times: list[float] = []
-    ages: list[float] = []
-    pos = 0    # device transmitting this slot (0-based)
-    gen = 0    # slot index of the batch generation
-    t = 0
-    for chunk in _draws(rng, horizon):
-        for u in chunk.tolist():
-            if pos == 0:
-                # first device (re)generates at the start of its attempt slot,
-                # so a failure here repeats with a fresh batch next slot
-                gen = t
-            if u >= probs[pos]:
-                pos += 1
-                if pos == n:
-                    times.append(float(t + 1))
-                    ages.append(float(t + 1 - gen))
-                    pos = 0
-            # failure at pos >= 1: same device retransmits the same packet
-            t += 1
-    return times, ages
 
 
 def _run_fdma(probs, horizon: int, rng) -> tuple[np.ndarray, np.ndarray]:

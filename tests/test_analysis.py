@@ -255,7 +255,7 @@ class TestFdma:
         # 2**-1100 underflows a plain product to 0; 1/gamma overflows too
         p = make_per_vector([0.5] * 1100)
         assert fdma_gamma(p) == 0.0
-        match = r"fdma: average AoC exceeds float range \(N = 1100\)"
+        match = r"^average AoC exceeds float range \(N = 1100\)$"
         with pytest.raises(ValueError, match=match):
             fdma_avg_aoc_rounds(p)
 
@@ -302,7 +302,7 @@ class TestFloatRange:
         if scheme is SchemeKind.TDMA_R or p == 0.1:
             assert math.isfinite(avg_aoc_ms(scheme, per, unit))
         else:
-            match = rf"{scheme.token}: average AoC exceeds float range \(N = 1024\)"
+            match = r"^average AoC exceeds float range \(N = 1024\)$"
             with pytest.raises(ValueError, match=match):
                 avg_aoc_ms(scheme, per, unit)
 

@@ -172,7 +172,8 @@ class TestTheory:
                         + "".join(f"10,fdma,{d},0.1\n" for d in range(1, 6))
                         + "10,tdma,1,0.1\n10,tdma,2,0.1\n", encoding="utf-8")
         code, _, err = _run(capsys, ["theory", "--per-table", str(path)])
-        assert (code, err) == (2, "aockit: cannot split 48 subcarriers over 5 devices\n")
+        assert (code, err) == (2, "aockit: cannot split 48 subcarriers over 5 devices "
+                                  "(or give --t-fd)\n")
         code, out, err = _run(capsys, ["theory", "--per-table", str(path),
                                        "--scheme", "tdma"])
         assert code == 0 and err == ""
@@ -213,6 +214,14 @@ class TestTheory:
         want = tdma_nr_avg_aoc_slots(make_per_vector(probs)) * tdma_slot_ms(PhyProfile())
         assert float(rows[0][3]) == pytest.approx(want, rel=1e-5)
 
+    def test_range_error_names_the_scheme_once(self, capsys):
+        # the row key names the scheme; the closed form's message does not
+        code, out, err = _run(capsys, ["theory", "--p", ",".join(["0.99"] * 200),
+                                       "--scheme", "tdma-nr"])
+        assert (code, out) == (2, "")
+        assert err == ("aockit: (0.0 dB, tdma-nr): average AoC exceeds float range "
+                       "(N = 200)\n")
+
 
 class TestTimingFlags:
     """Every subcommand's default timing is default_timing(n), n being the
@@ -228,14 +237,19 @@ class TestTimingFlags:
         assert out.splitlines()[1] == "0.0,fdma,theory,0.24,0.0,0"
 
     def test_indivisible_split_fails_like_timing(self, capsys):
-        code, _, want = _run(capsys, ["timing", "--n", "5"])
+        # the same split error, which the table commands can avoid by
+        # giving the round themselves
+        code, _, err = _run(capsys, ["timing", "--n", "5"])
         assert code == 2
-        assert want == "aockit: cannot split 48 subcarriers over 5 devices\n"
+        assert err == "aockit: cannot split 48 subcarriers over 5 devices\n"
+        want = "aockit: cannot split 48 subcarriers over 5 devices (or give --t-fd)\n"
         for argv in (["theory", "--p", self.FIVE],
                      ["sweep", "--p", self.FIVE, "--horizon", "100"],
                      ["simulate", "--scheme", "fdma", "--p", self.FIVE]):
             code, out, err = _run(capsys, argv)
             assert (code, out, err) == (2, "", want)
+            code, _, err = _run(capsys, argv + ["--t-fd", "0.2"])
+            assert (code, err) == (0, "")
 
     @pytest.mark.parametrize("argv", [
         ["theory", "--scheme", "tdma"],

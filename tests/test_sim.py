@@ -132,8 +132,12 @@ def _per_vector(kind, n):
     if kind == "zero":
         return (0.0,) * n
     rng = np.random.default_rng(n)
-    if kind == "light":    # long attempts: most pass the first _DENSE devices
+    if kind == "light":    # long attempts and cycles
         return tuple(float(x) for x in rng.uniform(0.0, 0.03, n))
+    if kind == "equal":    # no draw's outcome depends on the sending device
+        return (float(rng.uniform(0.05, 0.2)),) * n
+    if kind == "band":     # one SNR row of the workloads: a spread of 0.1
+        return tuple(float(x) for x in rng.uniform(0.05, 0.15, n))
     # "mixed": a lossless device, a 0.99 device and the rest in [0, 0.5)
     probs = [float(x) for x in rng.uniform(0.0, 0.5, n)]
     probs[0] = 0.0
@@ -181,12 +185,11 @@ class TestDrawConvention:
         assert np.array_equal(res.trace.times, times)
         assert np.all(res.trace.ages == 1.0)
 
-    # N on both sides of each kernel's path choice: TDMA-R's jump kernel
-    # and FDMA's device-major success test
+    # N on both sides of FDMA's device-major success test, and PER kinds
+    # from no device-dependent draw (zero, equal) to many (mixed)
     @pytest.mark.parametrize("horizon", list(_HORIZONS))
-    @pytest.mark.parametrize("per", ["zero", "light", "mixed"])
-    @pytest.mark.parametrize("n", [1, 2, 6, sim._R_JUMP, sim._R_JUMP + 1, 17,
-                                   sim._FDMA_ROWS - 1, sim._FDMA_ROWS, 48])
+    @pytest.mark.parametrize("per", ["zero", "equal", "light", "band", "mixed"])
+    @pytest.mark.parametrize("n", [1, 2, 6, 10, 11, 16, 17, 31, 32, 48])
     @pytest.mark.parametrize("scheme", list(SchemeKind), ids=lambda k: k.token)
     def test_kernel_matches_reference(self, scheme, n, per, horizon):
         probs = _per_vector(per, n)
@@ -217,6 +220,19 @@ class TestDrawConvention:
         # a cycle longer than two chunks spans at least three
         assert np.any(ages > 2 * chunk)
 
+    @pytest.mark.parametrize("chunk", [3, 65536])
+    @pytest.mark.parametrize("per", [0.0, 0.3, 0.99])
+    def test_one_device_kernels_agree(self, per, chunk):
+        # at N = 1 each success is a collection of age 1 under every scheme
+        # and an FDMA round is one draw, so the three traces coincide
+        with mock.patch.object(sim, "_CHUNK", chunk):
+            traces = [_kernel_trace(scheme, (per,), 5000, 61) for scheme in SchemeKind]
+        times, ages = traces[0]
+        assert times.size >= 2 and np.all(ages == 1.0)
+        for other_times, other_ages in traces[1:]:
+            assert np.array_equal(other_times, times)
+            assert np.array_equal(other_ages, ages)
+
     @settings(max_examples=150, deadline=None)
     @given(scheme=st.sampled_from(list(SchemeKind)),
            probs=st.lists(st.sampled_from([0.0, 0.01, 0.1, 0.3, 0.5, 0.9, 0.99]),
@@ -224,18 +240,15 @@ class TestDrawConvention:
            horizon=st.integers(1, 300),
            seed=st.integers(0, 2 ** 64 - 1),
            chunk=st.integers(1, 40),
-           dense=st.integers(1, 4),
            cutoff=st.integers(0, 6))
     def test_simulate_matches_reference(self, scheme, probs, horizon, seed, chunk,
-                                        dense, cutoff):
-        # tiny chunks and dense widths put chunk boundaries and slice-checked
-        # attempt tails inside short horizons; the cutoff sends N <= 6 down
-        # either TDMA-R path and either FDMA success test
+                                        cutoff):
+        # tiny chunks put chunk boundaries, and so the carried runs and
+        # cycles, inside short horizons; the cutoff sends N <= 6 down either
+        # FDMA success test
         want_times, want_ages = _reference_trace(scheme, probs, horizon, seed)
         config = SimConfig(scheme, make_per_vector(probs), horizon, seed)
         with mock.patch.object(sim, "_CHUNK", chunk), \
-                mock.patch.object(sim, "_DENSE", dense), \
-                mock.patch.object(sim, "_R_JUMP", cutoff), \
                 mock.patch.object(sim, "_FDMA_ROWS", cutoff + 1):
             if want_times.size < 2:
                 with pytest.raises(ValueError, match="insufficient collections"):
@@ -490,12 +503,10 @@ class TestCoverage:
 class TestPrefixStability:
     """The events up to h1 of a run to h2 are the run to h1, whatever the
     chunk size of either run.  This pins every kernel's carry across
-    chunk boundaries without a reference loop, at N on both sides of
-    each kernel's path choice."""
+    chunk boundaries without a reference loop, at N from 1 to 48 and on
+    both sides of FDMA's device-major success test."""
 
-    @pytest.mark.parametrize("n", sorted({1, 2, 6, sim._R_JUMP, sim._R_JUMP + 1,
-                                          sim._DENSE, sim._DENSE + 1, sim._FDMA_ROWS - 1,
-                                          sim._FDMA_ROWS, 48}))
+    @pytest.mark.parametrize("n", [1, 2, 6, 10, 11, 16, 17, 31, 32, 48])
     @pytest.mark.parametrize("scheme", list(SchemeKind), ids=lambda k: k.token)
     def test_prefix_of_a_longer_run(self, scheme, n):
         probs = tuple(float(x) for x in
