@@ -19,8 +19,10 @@ and each chain has them in closed form; no linear system is solved:
 * TDMA-R is skip-free to the right, so its moments are suffix sums.
 * TDMA-NR restarts at device 1 after any failure, so the time to a full
   collection is a run of N successes with position-dependent odds
-  (Feller, Vol. I, XIII.7).  Its moments come from O(N) backward passes
-  that add only positive terms.
+  (Feller, Vol. I, XIII.7).  Over the prefix products
+  P_m = (1 - p_1)...(1 - p_m) its average is N + 1/2 + W/A + B/Q, with
+  A = sum_{m<N} P_m, W = sum_{m<N} m P_m, B = A - N Q and Q = P_N: sums of
+  positive terms, taken with C-level iteration and math.fsum.
 * FDMA completes a round with probability gamma = prod(1 - p_i), so its
   inter-collection time is geometric.
 
@@ -33,6 +35,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate, count, repeat
+from operator import mul, sub
 
 from .domain import PerVector, SchemeKind, TimingModel
 
@@ -79,13 +83,27 @@ class HittingMoments:
 # p < 1, so the running mantissa stays far above the subnormal range
 _RESCALE = 2.0 ** -512
 
+# 0.0, 1.0, ... as floats: a float times a float is cheaper than a float
+# times an int, and the products are the same
+_COUNTS = tuple(map(float, range(1024)))
+
+# from this many devices on, TDMA-NR sums its excess over N from the PERs
+# themselves where they are small (see _tdma_nr_sums)
+_EXACT_EXCESS_N = 16
+
 
 def _survival(probs) -> tuple[float, int]:
     """prod(1 - p_i) as (m, e) with value m * 2**e.
 
     The product is taken in order and rescaled by exact powers of two, so
     m * 2**e equals the plain float product whenever that product is normal.
+    The running product never increases, so a plain product at or above
+    _RESCALE is exactly the case in which the loop never rescales, and it
+    is returned as is.
     """
+    m = math.prod(map(sub, repeat(1.0), probs))
+    if m >= _RESCALE:
+        return m, 0
     m, e = 1.0, 0
     for pi in probs:
         m *= 1.0 - pi
@@ -109,27 +127,51 @@ def _in_range(value: float, n: int) -> float:
     return value
 
 
-def _tdma_nr_passes(probs):
+def _tdma_nr_sums(probs) -> tuple[float, float, float, float, int]:
+    """A, W, B and Q = m * 2**e of the TDMA-NR chain (tdma_nr_moments).
+
+    The prefix products come from one accumulate() and each sum from
+    math.fsum over a map(), so no Python loop runs per device, and the bits
+    do not depend on the interpreter (CPython 3.12 made float sum()
+    compensated).  Q is P_N itself, the same product in the same order as
+    _survival's, unless it falls below _RESCALE; then it is _survival's
+    rescaled (m, e).
+
+    B = A - N Q cancels at most one bit while N Q <= A / 2, and below
+    _EXACT_EXCESS_N devices the rounding of the s_i moves it by less than
+    N / 6 ulps of the average.  Otherwise, for many devices with PERs so
+    small that every P_m is near Q, B is summed from its terms
+    k p_k P_{k-1}, which take p_k itself rather than the rounded 1 - p_k.
+    """
+    n = len(probs)
+    prefix = list(accumulate(map(sub, repeat(1.0), probs), mul, initial=1.0))
+    q = prefix.pop()
+    m, e = (q, 0) if q >= _RESCALE else _survival(probs)
+    s_a = math.fsum(prefix)
+    counts = _COUNTS if n <= len(_COUNTS) else count()
+    s_w = math.fsum(map(mul, prefix, counts))
+    if n < _EXACT_EXCESS_N or 2.0 * n * q <= s_a:
+        s_b = s_a - n * q
+    else:
+        s_b = math.fsum(map(mul, map(mul, probs, count(1)), prefix))
+    return s_a, s_w, s_b, m, e
+
+
+def _tdma_nr_passes(probs) -> tuple[list, list]:
     """Backward passes over s_i = 1 - p_i for the TDMA-NR chain.
 
-    Returns lists a, r (with a trailing 0.0 for state N + 1) and scalars
-    u, v such that, with Q = prod(1 - p_i),
-
-        T_i = a_i + r_i T_1,    T_1 = a_1 / Q,
-        E[T_1^2] = (u + v T_1) / Q.
+    Returns lists a, r (with a trailing 0.0 for state N + 1) of the A_i
+    and R_i of tdma_nr_moments, so that T_i = a_i + r_i T_1.
     """
     n = len(probs)
     a = [0.0] * (n + 1)
     r = [0.0] * (n + 1)
-    u = v = 0.0
     for i in range(n - 1, -1, -1):
         pi = probs[i]
         si = 1.0 - pi
-        u = 1.0 + 2.0 * si * a[i + 1] + si * u
         a[i] = 1.0 + si * a[i + 1]
         r[i] = pi + si * r[i + 1]
-        v = 2.0 * r[i] + si * v
-    return a, r, u, v
+    return a, r
 
 
 def tdma_nr_moments(p: PerVector) -> HittingMoments:
@@ -152,20 +194,30 @@ def tdma_nr_moments(p: PerVector) -> HittingMoments:
         r_i = 1 + 2 (p_i T_1 + s_i T_{i+1})
             = 1 + 2 s_i A_{i+1} + 2 R_i T_1,
 
-    so the same pass gives E[T_1^2] = (U_1 + V_1 T_1) / Q_1, where
-    U_i = 1 + 2 s_i A_{i+1} + s_i U_{i+1} and V_i = 2 R_i + s_i V_{i+1}.
-    Raises ValueError when the moments exceed float range.
+    so E[T_1^2] = (U_1 + V_1 T_1) / Q_1, where U_i = 1 + 2 s_i A_{i+1}
+    + s_i U_{i+1} and V_i = 2 R_i + s_i V_{i+1}.  Unrolled from state 1
+    over the prefix products P_m = s_1...s_m (P_0 = 1), these are sums:
+
+        A_1 = A = sum_{m<N} P_m,        Q_1 = Q = P_N,
+        U_1 = A + 2 W,                  W = sum_{m<N} m P_m,
+        V_1 = 2 (A - N Q) = 2 B,        B = sum_{k<=N} k p_k P_{k-1},
+
+    where B telescopes because p_k P_{k-1} = P_{k-1} - P_k.  So
+    T_1 = A / Q = N + B / Q and E[T_1^2] = (A + 2 W + 2 B T_1) / Q, all
+    terms positive; the second form of T_1 keeps N exact where the PERs
+    are small.  The backward passes are kept only for T_2..T_N.  Raises
+    ValueError when the moments exceed float range.
     """
     probs = p.probs
-    a, r, u, v = _tdma_nr_passes(probs)
-    m, e = _survival(probs)
-    t1 = _over(a[0], m, e)
-    second_t1 = _over(u + v * t1, m, e)
+    s_a, s_w, s_b, m, e = _tdma_nr_sums(probs)
+    t1 = p.n + _over(s_b, m, e)
+    second_t1 = _over(s_a + 2.0 * s_w + 2.0 * s_b * t1, m, e)
     if not math.isfinite(second_t1):
         raise ValueError(
             f"tdma-nr: hitting-time moments exceed float range (N = {p.n})"
         )
-    first = tuple(ai + ri * t1 for ai, ri in zip(a[:-1], r))
+    a, r = _tdma_nr_passes(probs)
+    first = (t1, *(ai + ri * t1 for ai, ri in zip(a[1:-1], r[1:])))
     return HittingMoments(first=first, second_t1=second_t1)
 
 
@@ -177,14 +229,17 @@ def tdma_nr_avg_aoc_slots(p: PerVector) -> float:
 
         avg = N + E[T_1^2] / (2 E[T_1])
             = N + U_1 / (2 A_1) + V_1 / (2 Q_1)
+            = N + 1/2 + W / A + B / Q
 
-    in the notation of tdma_nr_moments.  The second form divides by Q_1
-    once, so it is finite whenever the average fits in a float64; beyond
-    that it raises ValueError.
+    in the notation of tdma_nr_moments, by U_1 = A + 2 W and
+    V_1 = 2 (A - N Q) = 2 B; with B = A - N Q this is 1/2 + A/Q + W/A.
+    Every term is positive, and N stays exact where the PERs are small
+    (see _tdma_nr_sums).  The sums take no per-device Python loop, and the
+    third form divides by Q once, so it is finite whenever the average
+    fits in a float64; beyond that it raises ValueError.
     """
-    a, _, u, v = _tdma_nr_passes(p.probs)
-    m, e = _survival(p.probs)
-    avg = p.n + u / (2.0 * a[0]) + _over(0.5 * v, m, e)
+    s_a, s_w, s_b, m, e = _tdma_nr_sums(p.probs)
+    avg = p.n + (0.5 + s_w / s_a) + _over(s_b, m, e)
     return _in_range(avg, p.n)
 
 
@@ -192,12 +247,13 @@ def _tdma_r_terms(probs) -> tuple[list, float, float, float]:
     """a_k = 1 / (1 - p_k), T_1, T_2 (0.0 at N = 1) and E[T_1^2] of TDMA-R,
     in one O(N) pass; only tdma_r_moments adds the other suffix sums."""
     a = [1.0 / (1.0 - pi) for pi in probs]
+    tail = a[1:]
     t1 = math.fsum(a)
-    t2 = math.fsum(a[1:])
+    t2 = math.fsum(tail)
     second_t1 = (
         (1.0 + probs[0]) / (1.0 - probs[0]) * t1
         + t2 * t2
-        + math.fsum(x * x for x in a[1:])
+        + math.fsum(map(mul, tail, tail))
     )
     return a, t1, t2, second_t1
 

@@ -1,4 +1,6 @@
+import itertools
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aockit.analysis import (
+    _survival,
     avg_aoc_ms,
     fdma_avg_aoc_rounds,
     fdma_gamma,
@@ -41,16 +44,14 @@ def _solve_exact(m, b):
     return [row[n] for row in rows]
 
 
-def _chain_reference(scheme, probs):
-    """(T_1..T_N, E[T_1^2], average) of a TDMA chain, solved exactly.
+def _chain_exact(scheme, probs):
+    """(T_1..T_N, E[T_1^2], average) of a TDMA chain as exact Fractions.
 
     From state i a slot succeeds with probability 1 - p_i and moves on to
     i + 1; a failure moves to state 1 (TDMA-NR) or stays at i (TDMA-R).
     The first moments solve T_i = 1 + p_i T_fail + (1 - p_i) T_{i+1} and
     the second moments the same matrix against 1 + 2 E[T_next].  The
-    float PERs are taken exactly as Fractions, so the only rounding is the
-    final conversion to float (a float solve of the same matrix can be off
-    by 1e-10 where the moments are large).
+    float PERs are taken exactly as Fractions, so nothing is rounded.
     """
     p = [Fraction(x) for x in probs]
     n = len(p)
@@ -65,8 +66,19 @@ def _chain_reference(scheme, probs):
     s = _solve_exact(m, [1 + 2 * (p[i] * t[fail[i]] + (1 - p[i]) * t_next[i])
                          for i in range(n)])
     reset = n if scheme is SchemeKind.TDMA_NR else 1 + (t[1] if n >= 2 else 0)
-    avg = reset + s[0] / (2 * t[0])
-    return [float(x) for x in t], float(s[0]), float(avg)
+    return t, s[0], reset + s[0] / (2 * t[0])
+
+
+def _chain_reference(scheme, probs):
+    """_chain_exact rounded to floats, the only rounding (a float solve of
+    the same matrix can be off by 1e-10 where the moments are large)."""
+    t, second, avg = _chain_exact(scheme, probs)
+    return [float(x) for x in t], float(second), float(avg)
+
+
+def _ulps(x, exact):
+    """|x - exact| in units in the last place of the float nearest exact."""
+    return abs(Fraction(x) - exact) / Fraction(math.ulp(float(exact)))
 
 
 _CLOSED_FORMS = {
@@ -106,6 +118,19 @@ class TestSolveDense:
     @example([0.6685047728924937, 0.875, 0.8984375, 0.8984375, 0.8984375, 0.875, 0.875])
     def test_nr_property(self, probs):
         _assert_matches_reference(SchemeKind.TDMA_NR, probs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e-9),
+                              st.floats(0.0, 0.999), st.floats(0.999, 1.0, exclude_max=True)),
+                    min_size=1, max_size=8))
+    @example([0.3] * 8)
+    @example([1e-12] * 8)
+    @example([0.0, 0.6, 0.0, 0.0, 0.0])
+    @example([1.0 - 2.0 ** -30] * 8)
+    def test_nr_average_within_8_ulps_of_exact(self, probs):
+        # the exact chain solve, not the closed form's sums, is the reference
+        _, _, exact = _chain_exact(SchemeKind.TDMA_NR, probs)
+        assert _ulps(tdma_nr_avg_aoc_slots(make_per_vector(probs)), exact) <= 8
 
 
 class TestTdmaNrMoments:
@@ -264,6 +289,43 @@ class TestFdma:
         assert fdma_avg_aoc_rounds(make_per_vector([0.5] * 1023)) == 2.0 ** 1023
 
 
+def _rescaled_product(probs):
+    """prod(1 - p_i) as (m, e), renormalised factor by factor below 2**-512."""
+    m, e = 1.0, 0
+    for pi in probs:
+        m *= 1.0 - pi
+        if m < 2.0 ** -512:
+            m, k = math.frexp(m)
+            e += k
+    return m, e
+
+
+class TestSurvival:
+    """_survival's plain product equals the rescaling loop bit for bit."""
+
+    def test_products_above_the_cutoff(self):
+        rng = np.random.default_rng(20)
+        for _ in range(300):
+            n = int(rng.integers(1, 300))
+            probs = tuple(float(x) for x in rng.uniform(0.0, rng.uniform(0.0, 0.99), n))
+            m, e = _survival(probs)
+            assert (m, e) == _rescaled_product(probs)
+            assert e == 0       # the product never crossed 2**-512
+
+    @pytest.mark.parametrize("n, p", [(511, 0.5), (512, 0.5), (513, 0.5),
+                                      (600, 0.5), (1100, 0.9), (3000, 0.3)])
+    def test_products_across_the_cutoff(self, n, p):
+        probs = (p,) * n
+        assert _survival(probs) == _rescaled_product(probs)
+
+    def test_mixed_products_across_the_cutoff(self):
+        rng = np.random.default_rng(21)
+        for _ in range(50):
+            n = int(rng.integers(400, 1500))
+            probs = tuple(float(x) for x in rng.uniform(0.0, 0.99, n))
+            assert _survival(probs) == _rescaled_product(probs)
+
+
 def _success_run_avg(n, p):
     """TDMA-NR average for N devices of equal PER p, from the mean
     (1 - s^N) / g and variance 1/g^2 - (2N + 1)/g - s/p^2 of the wait for
@@ -273,6 +335,34 @@ def _success_run_avg(n, p):
     c = 1.0 - s ** n
     g = p * s ** n
     return n + ((1.0 + c * c) / (2.0 * g) - (n + 0.5) - s * g / (2.0 * p * p)) / c
+
+
+def _success_run_exact(n, p):
+    """_success_run_avg's mean and average in exact Fractions, p > 0."""
+    p = Fraction(p)
+    s = 1 - p
+    g = p * s ** n
+    mean = (1 - s ** n) / g
+    var = 1 / g ** 2 - (2 * n + 1) / g - s / p ** 2
+    return mean, n + (var + mean * mean) / (2 * mean)
+
+
+@pytest.mark.parametrize("n", [256, 511, 1000])
+@pytest.mark.parametrize("p", [1e-12, 1e-9, 1e-6])
+class TestSmallPers:
+    # at PERs this small the mean is N plus a small excess, and the average
+    # N + 1/2 + (N - 1)/2 plus another; taking the excess from 1 - p rounded
+    # to a float costs about N/25 ulps, taking it from p about N/90
+
+    def test_nr_average_keeps_n_exact(self, n, p):
+        _, exact = _success_run_exact(n, p)
+        avg = tdma_nr_avg_aoc_slots(make_per_vector([p] * n))
+        assert _ulps(avg, exact) <= 2 + n / 64
+
+    def test_nr_mean_keeps_n_exact(self, n, p):
+        exact, _ = _success_run_exact(n, p)
+        mean = tdma_nr_moments(make_per_vector([p] * n)).first[0]
+        assert _ulps(mean, exact) <= 2 + n / 64
 
 
 class TestFloatRange:
@@ -344,6 +434,37 @@ class TestCrossSchemeProperties:
             r = tdma_r_avg_aoc_slots(p)
             nr = tdma_nr_avg_aoc_slots(p)
             assert r <= nr * (1.0 + 1e-12) + 1e-12
+
+    def test_retransmission_can_lose_to_restart(self):
+        # a lossy device between lossless ones: TDMA-R's reset age carries
+        # the retransmissions of device 2 onwards, and TDMA-NR's does not,
+        # so here TDMA-NR is lower (a 4e6-slot simulation, seed 11, agrees:
+        # 10.038 +- 0.009 against 9.945 +- 0.011)
+        p = make_per_vector([0.0, 0.6, 0.0, 0.0, 0.0])
+        assert tdma_r_avg_aoc_slots(p) == pytest.approx(10.0385, abs=1e-4)
+        assert tdma_nr_avg_aoc_slots(p) == pytest.approx(9.9375, abs=1e-4)
+        assert tdma_r_avg_aoc_slots(p) > tdma_nr_avg_aoc_slots(p)
+
+    def test_retransmission_loses_in_each_best_order(self):
+        # {0.1, 0.1, 0, 0, 0, 0}: TDMA-R stays above TDMA-NR even when each
+        # scheme takes its best transmission order
+        orders = set(itertools.permutations([0.1, 0.1, 0.0, 0.0, 0.0, 0.0]))
+        best_r = min(tdma_r_avg_aoc_slots(make_per_vector(o)) for o in orders)
+        best_nr = min(tdma_nr_avg_aoc_slots(make_per_vector(o)) for o in orders)
+        assert best_r / best_nr - 1.0 == pytest.approx(0.0016, abs=1e-4)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 40).flatmap(lambda n: st.lists(
+        st.one_of(st.just(0.0), st.floats(0.0, 0.99)), min_size=n, max_size=n)))
+    @example([0.0])
+    @example([0.0] * 40)
+    @example([0.99] * 40)
+    def test_retransmission_never_worse_than_idealized_fdma(self, probs):
+        # the paper's headline theory claim: TDMA-R's average in slots is at
+        # most FDMA's in rounds of N slots; equality only at PER 0 (1.5 N)
+        p = make_per_vector(probs)
+        bound = p.n * fdma_avg_aoc_rounds(p) * (1.0 + 4.0 * sys.float_info.epsilon)
+        assert tdma_r_avg_aoc_slots(p) <= bound
 
     def test_single_device_schemes_coincide(self):
         rng = np.random.default_rng(18)
