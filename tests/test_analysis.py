@@ -289,6 +289,21 @@ class TestFdma:
         assert fdma_avg_aoc_rounds(make_per_vector([0.5] * 1023)) == 2.0 ** 1023
 
 
+@pytest.mark.parametrize("last, gamma, nr, fdma", [
+    (1.0 - 2.0 ** -16, "0x0.8000000000000p-1022",
+     "0x1.0000000000001p+1023", "0x1.0000000000000p+1023"),
+    (0.99999, "0x0.53e2d6238c000p-1022",
+     "0x1.86a0000007a2cp+1023", "0x1.86a0000007a2ap+1023"),
+])
+def test_subnormal_survival_with_finite_averages(last, gamma, nr, fdma):
+    # Q = prod(1 - p_i) is near 2**-1023, below the normal range, in 20
+    # factors; both averages divide by Q and still fit in a float64
+    per = make_per_vector([1.0 - 2.0 ** -53] * 19 + [last])
+    assert fdma_gamma(per) == float.fromhex(gamma)
+    assert tdma_nr_avg_aoc_slots(per) == float.fromhex(nr)
+    assert fdma_avg_aoc_rounds(per) == float.fromhex(fdma)
+
+
 def _rescaled_product(probs):
     """prod(1 - p_i) as (m, e), renormalised factor by factor below 2**-512."""
     m, e = 1.0, 0
@@ -363,6 +378,81 @@ class TestSmallPers:
         exact, _ = _success_run_exact(n, p)
         mean = tdma_nr_moments(make_per_vector([p] * n)).first[0]
         assert _ulps(mean, exact) <= 2 + n / 64
+
+
+def _nr_closed_form_exact(probs):
+    """N + 1/2 + W/A + B/Q (tdma_nr_avg_aoc_slots) in exact Fractions."""
+    n = len(probs)
+    prefix = [Fraction(1)]
+    for pi in probs:
+        prefix.append(prefix[-1] * (1 - Fraction(pi)))
+    q = prefix.pop()
+    a = sum(prefix)
+    w = sum(m * pm for m, pm in enumerate(prefix))
+    return n + Fraction(1, 2) + w / a + (a - n * q) / q
+
+
+def _r_closed_form_exact(probs):
+    """1 + T_2 + E[T_1^2] / (2 T_1) (tdma_r_avg_aoc_slots) in exact Fractions."""
+    a = [1 / (1 - Fraction(pi)) for pi in probs]
+    p1 = Fraction(probs[0])
+    t1 = sum(a)
+    t2 = t1 - a[0]
+    second = (1 + p1) / (1 - p1) * t1 + t2 * t2 + sum(x * x for x in a[1:])
+    return 1 + t2 + second / (2 * t1)
+
+
+def _fdma_closed_form_exact(probs):
+    """1 + (2 - gamma) / (2 gamma) (fdma_avg_aoc_rounds) in exact Fractions."""
+    gamma = math.prod(1 - Fraction(pi) for pi in probs)
+    return 1 + (2 - gamma) / (2 * gamma)
+
+
+# N and PER caps of the edge grid of CHANGES.md, up to N = 64
+_ULP_NS = (1, 2, 3, 4, 5, 8, 13, 32, 64)
+_ULP_CAPS = (1e-12, 1e-6, 0.01, 0.1, 0.3, 0.5, 0.9, 0.99, 1.0 - 1e-6, 1.0 - 1e-9)
+
+
+def _ulp_grid(seed):
+    """Equal, uniform and zero-mixed PER vectors for every N and cap."""
+    rng = np.random.default_rng(seed)
+    for n, cap in itertools.product(_ULP_NS, _ULP_CAPS):
+        keep = rng.random(n) < 0.5
+        yield [cap] * n
+        yield [float(x) for x in rng.uniform(0.0, cap, n)]
+        yield [float(x) if k else 0.0 for x, k in zip(rng.uniform(0.0, cap, n), keep)]
+
+
+class TestUlpBound:
+    """Each average against an exact evaluation of its own closed form on
+    the float PERs as given, so the bound counts the float arithmetic only.
+
+    To first order, with every rounding counted as a whole ulp: TDMA-NR and
+    FDMA round the N factors 1 - p_i and the N products of Q, then a
+    quotient and a sum, 2N + 2 ulps; TDMA-R rounds each 1 / (1 - p_k) and
+    its correctly rounded sums once, and its quotient and sum, 3 ulps.
+    Measured worst on this grid: 35 ulps for TDMA-NR and 45 for FDMA, both
+    at N = 64, and 2.3 for TDMA-R.
+    """
+
+    @pytest.mark.parametrize("average, exact, bound", [
+        (tdma_nr_avg_aoc_slots, _nr_closed_form_exact, lambda n: 2 * n + 2),
+        (tdma_r_avg_aoc_slots, _r_closed_form_exact, lambda n: 3),
+        (fdma_avg_aoc_rounds, _fdma_closed_form_exact, lambda n: 2 * n + 2),
+    ], ids=("tdma-nr", "tdma-r", "fdma"))
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_within_first_order_bound(self, average, exact, bound, seed):
+        for probs in _ulp_grid(seed):
+            p = make_per_vector(probs)
+            want = exact(p.probs)
+            try:
+                got = average(p)
+            except ValueError:
+                # a range error only where the exact average rounds to inf
+                with pytest.raises(OverflowError):
+                    float(want)
+                continue
+            assert _ulps(got, want) <= bound(p.n), probs
 
 
 class TestFloatRange:
