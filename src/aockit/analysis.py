@@ -26,9 +26,9 @@ and each chain has them in closed form; no linear system is solved:
 * FDMA completes a round with probability gamma = prod(1 - p_i), so its
   inter-collection time is geometric.
 
-The products prod(1 - p_i) are carried as a mantissa and a binary
-exponent, so they never underflow.  An average that does not fit in a
-float64 raises ValueError naming the scheme and N.
+Each product prod(1 - p_i) starts at the power of two _SCALE, so it
+stays normal wherever the average it divides fits in a float64.  An
+average that does not fit raises ValueError naming the scheme and N.
 """
 
 from __future__ import annotations
@@ -79,9 +79,11 @@ class HittingMoments:
             )
 
 
-# survival products are renormalised below this; 1 - p >= 2**-53 for any
-# p < 1, so the running mantissa stays far above the subnormal range
-_RESCALE = 2.0 ** -512
+# every survival product starts here, and the scale cancels in each
+# quotient.  Scaling by a power of two is exact while the product stays
+# normal; an average divides by Q = prod(1 - p_i), so it fits a float64
+# only if Q > 2**-1024, and any scale >= 4 keeps such a Q normal
+_SCALE = 2.0 ** 64
 
 # 0.0, 1.0, ... as floats: a float times a float is cheaper than a float
 # times an int, and the products are the same
@@ -92,33 +94,14 @@ _COUNTS = tuple(map(float, range(1024)))
 _EXACT_EXCESS_N = 16
 
 
-def _survival(probs) -> tuple[float, int]:
-    """prod(1 - p_i) as (m, e) with value m * 2**e.
-
-    The product is taken in order and rescaled by exact powers of two, so
-    m * 2**e equals the plain float product whenever that product is normal.
-    The running product never increases, so a plain product at or above
-    _RESCALE is exactly the case in which the loop never rescales, and it
-    is returned as is.
-    """
-    m = math.prod(map(sub, repeat(1.0), probs))
-    if m >= _RESCALE:
-        return m, 0
-    m, e = 1.0, 0
-    for pi in probs:
-        m *= 1.0 - pi
-        if m < _RESCALE:
-            m, k = math.frexp(m)
-            e += k
-    return m, e
+def _survival(probs) -> float:
+    """_SCALE * prod(1 - p_i), multiplied in order."""
+    return math.prod(map(sub, repeat(1.0), probs), start=_SCALE)
 
 
-def _over(x: float, m: float, e: int) -> float:
-    """x / (m * 2**e), or inf when the quotient exceeds float range."""
-    try:
-        return math.ldexp(x / m, -e)
-    except OverflowError:
-        return math.inf
+def _over(x: float, q: float) -> float:
+    """x / q, or inf when the scaled product q underflowed to zero."""
+    return x / q if q else math.inf
 
 
 def _in_range(value: float, n: int) -> float:
@@ -127,15 +110,15 @@ def _in_range(value: float, n: int) -> float:
     return value
 
 
-def _tdma_nr_sums(probs) -> tuple[float, float, float, float, int]:
-    """A, W, B and Q = m * 2**e of the TDMA-NR chain (tdma_nr_moments).
+def _tdma_nr_sums(probs) -> tuple[float, float, float, float]:
+    """A, W, B and Q of the TDMA-NR chain (tdma_nr_moments), each times
+    _SCALE, so the quotients W/A and B/Q are those of the plain sums.
 
     The prefix products come from one accumulate() and each sum from
     math.fsum over a map(), so no Python loop runs per device, and the bits
     do not depend on the interpreter (CPython 3.12 made float sum()
-    compensated).  Q is P_N itself, the same product in the same order as
-    _survival's, unless it falls below _RESCALE; then it is _survival's
-    rescaled (m, e).
+    compensated).  Q is P_N, the same product in the same order as
+    _survival's.
 
     B = A - N Q cancels at most one bit while N Q <= A / 2, and below
     _EXACT_EXCESS_N devices the rounding of the s_i moves it by less than
@@ -144,9 +127,8 @@ def _tdma_nr_sums(probs) -> tuple[float, float, float, float, int]:
     k p_k P_{k-1}, which take p_k itself rather than the rounded 1 - p_k.
     """
     n = len(probs)
-    prefix = list(accumulate(map(sub, repeat(1.0), probs), mul, initial=1.0))
+    prefix = list(accumulate(map(sub, repeat(1.0), probs), mul, initial=_SCALE))
     q = prefix.pop()
-    m, e = (q, 0) if q >= _RESCALE else _survival(probs)
     s_a = math.fsum(prefix)
     counts = _COUNTS if n <= len(_COUNTS) else count()
     s_w = math.fsum(map(mul, prefix, counts))
@@ -154,7 +136,7 @@ def _tdma_nr_sums(probs) -> tuple[float, float, float, float, int]:
         s_b = s_a - n * q
     else:
         s_b = math.fsum(map(mul, map(mul, probs, count(1)), prefix))
-    return s_a, s_w, s_b, m, e
+    return s_a, s_w, s_b, q
 
 
 def _tdma_nr_passes(probs) -> tuple[list, list]:
@@ -209,9 +191,9 @@ def tdma_nr_moments(p: PerVector) -> HittingMoments:
     ValueError when the moments exceed float range.
     """
     probs = p.probs
-    s_a, s_w, s_b, m, e = _tdma_nr_sums(probs)
-    t1 = p.n + _over(s_b, m, e)
-    second_t1 = _over(s_a + 2.0 * s_w + 2.0 * s_b * t1, m, e)
+    s_a, s_w, s_b, q = _tdma_nr_sums(probs)
+    t1 = p.n + _over(s_b, q)
+    second_t1 = _over(s_a + 2.0 * s_w + 2.0 * s_b * t1, q)
     if not math.isfinite(second_t1):
         raise ValueError(
             f"tdma-nr: hitting-time moments exceed float range (N = {p.n})"
@@ -238,8 +220,8 @@ def tdma_nr_avg_aoc_slots(p: PerVector) -> float:
     third form divides by Q once, so it is finite whenever the average
     fits in a float64; beyond that it raises ValueError.
     """
-    s_a, s_w, s_b, m, e = _tdma_nr_sums(p.probs)
-    avg = p.n + (0.5 + s_w / s_a) + _over(s_b, m, e)
+    s_a, s_w, s_b, q = _tdma_nr_sums(p.probs)
+    avg = p.n + (0.5 + s_w / s_a) + _over(s_b, q)
     return _in_range(avg, p.n)
 
 
@@ -301,8 +283,7 @@ def fdma_gamma(p: PerVector) -> float:
 
     Rounds to 0.0 only when the probability is below the float range.
     """
-    m, e = _survival(p.probs)
-    return math.ldexp(m, e)
+    return _survival(p.probs) / _SCALE
 
 
 def fdma_avg_aoc_rounds(p: PerVector) -> float:
@@ -318,9 +299,8 @@ def fdma_avg_aoc_rounds(p: PerVector) -> float:
 
     Raises ValueError when 1/gamma exceeds float range.
     """
-    m, e = _survival(p.probs)
-    gamma = math.ldexp(m, e)
-    avg = 1.0 + _over(2.0 - gamma, 2.0 * m, e)
+    gamma = _survival(p.probs)      # times _SCALE, which cancels
+    avg = 1.0 + _over(2.0 * _SCALE - gamma, 2.0 * gamma)
     return _in_range(avg, p.n)
 
 

@@ -317,6 +317,12 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"aockit: {_name_flags(str(exc), args)}", file=sys.stderr)
         return 2
+    except MemoryError:
+        # the simulator's memory grows with the horizon
+        horizon = getattr(args, "horizon", None)
+        where = "" if horizon is None else f" at --horizon {horizon}"
+        print(f"aockit: out of memory{where}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aockit.analysis import (
+    _SCALE,
     _survival,
     avg_aoc_ms,
     fdma_avg_aoc_rounds,
@@ -294,7 +295,7 @@ class TestFdma:
      "0x1.0000000000001p+1023", "0x1.0000000000000p+1023"),
     (0.99999, "0x0.53e2d6238c000p-1022",
      "0x1.86a0000007a2cp+1023", "0x1.86a0000007a2ap+1023"),
-])
+], ids=("last-1-2**-16", "last-0.99999"))
 def test_subnormal_survival_with_finite_averages(last, gamma, nr, fdma):
     # Q = prod(1 - p_i) is near 2**-1023, below the normal range, in 20
     # factors; both averages divide by Q and still fit in a float64
@@ -315,30 +316,40 @@ def _rescaled_product(probs):
     return m, e
 
 
+def _assert_scaled_product(probs):
+    """_survival's frexp mantissa is the rescaling loop's, and its exponent
+    is the loop's plus that of _SCALE."""
+    m, e = _rescaled_product(probs)
+    want_m, k = math.frexp(m)
+    got_m, got_e = math.frexp(_survival(probs))
+    assert (got_m, got_e) == (want_m, e + k + math.frexp(_SCALE)[1] - 1)
+
+
 class TestSurvival:
-    """_survival's plain product equals the rescaling loop bit for bit."""
+    """The scaled product loses no bit against the rescaling loop, for
+    products down to 2**-1086, where the scaled one leaves the normal range."""
 
     def test_products_above_the_cutoff(self):
         rng = np.random.default_rng(20)
         for _ in range(300):
             n = int(rng.integers(1, 300))
             probs = tuple(float(x) for x in rng.uniform(0.0, rng.uniform(0.0, 0.99), n))
-            m, e = _survival(probs)
-            assert (m, e) == _rescaled_product(probs)
-            assert e == 0       # the product never crossed 2**-512
+            _assert_scaled_product(probs)
 
-    @pytest.mark.parametrize("n, p", [(511, 0.5), (512, 0.5), (513, 0.5),
-                                      (600, 0.5), (1100, 0.9), (3000, 0.3)])
+    @pytest.mark.parametrize("n, p", [(511, 0.5), (512, 0.5), (513, 0.5), (600, 0.5),
+                                      (1086, 0.5), (326, 0.9), (2110, 0.3)])
     def test_products_across_the_cutoff(self, n, p):
-        probs = (p,) * n
-        assert _survival(probs) == _rescaled_product(probs)
+        _assert_scaled_product((p,) * n)
 
     def test_mixed_products_across_the_cutoff(self):
         rng = np.random.default_rng(21)
         for _ in range(50):
-            n = int(rng.integers(400, 1500))
-            probs = tuple(float(x) for x in rng.uniform(0.0, 0.99, n))
-            assert _survival(probs) == _rescaled_product(probs)
+            probs = [float(x) for x in rng.uniform(0.0, 0.99, 1500)]
+            # cut where log2 of the product first falls below the target
+            target = rng.uniform(-1080.0, -400.0)
+            logs = itertools.accumulate(math.log2(1.0 - pi) for pi in probs)
+            n = sum(1 for _ in itertools.takewhile(lambda x: x > target, logs))
+            _assert_scaled_product(probs[:n])
 
 
 def _success_run_avg(n, p):

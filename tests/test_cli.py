@@ -6,9 +6,10 @@ from pathlib import Path
 
 import pytest
 
+from aockit import sim
 from aockit.analysis import tdma_nr_avg_aoc_slots
 from aockit.cli import main
-from aockit.domain import make_per_vector
+from aockit.domain import SchemeKind, make_per_vector
 from aockit.timing import PhyProfile, tdma_slot_ms
 
 TABLE = """snr_db,scheme,device_id,per
@@ -434,6 +435,17 @@ class TestSimulate:
         assert (code, out) == (2, "")
         assert err == ("aockit: insufficient collections: 0 in --horizon 50 rounds, "
                        "need 2\n")
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_out_of_memory_names_the_horizon(self, capsys, monkeypatch, command):
+        def kernel(probs, horizon, rng):
+            raise MemoryError
+        monkeypatch.setitem(sim._KERNELS, SchemeKind.FDMA, (kernel, "rounds"))
+        argv = [command, "--p", "0", "--horizon", "100000000"]
+        if command == "simulate":
+            argv += ["--scheme", "fdma"]
+        code, out, err = _run(capsys, argv)
+        assert (code, out, err) == (2, "", "aockit: out of memory at --horizon 100000000\n")
 
     def test_requires_p(self, capsys):
         code, _, err = _run(capsys, ["simulate", "--scheme", "fdma"])
