@@ -258,10 +258,16 @@ def tdma_r_moments(p: PerVector) -> HittingMoments:
 
     The expanded form is evaluated with math.fsum, which returns the
     correctly rounded exact sum, so the moments are bit-identical under
-    any reordering of devices 2..N.
+    any reordering of devices 2..N.  Each T_i is rounded correctly too,
+    in O(N) for all i: the a_k's numerators are scaled to their largest
+    power-of-two denominator, summed exactly as integers from the right,
+    and each suffix sum is rounded once by int / int, as fsum(a[i:]) is.
     """
-    a, t1, t2, second_t1 = _tdma_r_terms(p.probs)
-    first = (t1, t2, *(math.fsum(a[i:]) for i in range(2, p.n)))[:p.n]
+    a, _, _, second_t1 = _tdma_r_terms(p.probs)
+    ratios = [x.as_integer_ratio() for x in a]
+    den = max(d for _, d in ratios)
+    sums = list(accumulate(m * (den // d) for m, d in reversed(ratios)))
+    first = tuple(s / den for s in reversed(sums))
     return HittingMoments(first=first, second_t1=second_t1)
 
 

@@ -53,7 +53,7 @@ _PHY_FLAGS = {
 
 # every field an error message may name -> the flag that sets it
 _FIELD_FLAGS = {**_PHY_FLAGS, "tdma_slot_ms": "--t-td", "fdma_round_ms": "--t-fd",
-                "horizon": "--horizon"}
+                "horizon": "--horizon", "seed": "--seed"}
 
 
 def _tokens(text: str, flag: str | None = None, sep: str = ",") -> list[str]:

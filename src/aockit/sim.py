@@ -12,19 +12,21 @@ That convention pins the seed-to-trace mapping, so identical configs give
 bit-identical results; the generator name travels in SimResult.rng_name.
 
 All draws come from one stream, _draws, in arrays of at most _CHUNK
-uniforms.  Each kernel holds one array at a time, never the whole horizon,
-plus a carry of one or two integers between arrays:
+uniforms.  One driver, _run_kernel, passes each array to the scheme's
+step(probs, u, carry) -> (ends, ages, carry), shifts the ends (counted
+from the array's first unit) and concatenates them once; a step holds one
+array, never the whole horizon, plus a carry of one or two integers:
 
   TDMA-NR  counting: the sender is the slots since the last failure, mod N,
            and a failure-free run of L slots collects L // N times.
   TDMA-R   counting: the sender is the successes since the last collection,
            mod N; every N-th success ends a cycle, and the first one of the
            cycle is its generation slot.
-  FDMA     fully vectorised: each array is reshaped to rounds of N draws,
-           and the collections are the rows in which every device succeeds.
-           Below _FDMA_ROWS devices the rows are tested device-major.
+  FDMA     fully vectorised, no carry: each array is reshaped to rounds
+           of N draws, and the collections are the rows in which every
+           device succeeds.  Below _FDMA_ROWS the test is device-major.
 
-Both TDMA kernels split each array with numpy into sure successes (u >=
+Both TDMA steps split each array with numpy into sure successes (u >=
 max p), sure failures (u < min p) and device-dependent draws, and a Python
 loop visits only the device-dependent ones.  Their cost per slot therefore
 follows the spread of the PERs, not N: vector passes alone for equal PERs,
@@ -197,9 +199,9 @@ def simulate(config: SimConfig) -> SimResult:
     collections, whether because the horizon is short or because the
     error rates starve the system.
     """
-    kernel, unit = _KERNELS[config.scheme]
+    step, unit = _KERNELS[config.scheme]
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    times, ages = kernel(config.p.probs, config.horizon, rng)
+    times, ages = _run_kernel(step, unit, config.p.probs, config.horizon, rng)
     if len(times) < 2:
         raise ValueError(f"insufficient collections: {len(times)} in horizon "
                          f"{config.horizon} {unit}, need 2")
@@ -229,8 +231,23 @@ def _draws(rng: np.random.Generator, count: int, step: int = 1):
         count -= k
 
 
-def _run_tdma_nr(probs, horizon: int, rng) -> tuple[np.ndarray, np.ndarray]:
-    # Counting kernel.  Device k (0-based) sends when the slots since the
+def _run_kernel(step, unit: str, probs, horizon: int, rng):
+    # the chunk driver: step over the draw stream, each chunk's ends shifted
+    # by the units before it (base); returns float times and ages
+    per = len(probs) if unit == "rounds" else 1     # draws per unit
+    ends, ages, carry, base = [], [], None, 0
+    for u in _draws(rng, horizon * per, per):
+        e, a, carry = step(probs, u, carry)
+        e += base       # in place: every step returns a fresh ends array
+        ends.append(e)
+        ages.append(a)
+        base += u.size // per
+    return (np.concatenate(ends).astype(float),
+            np.concatenate(ages).astype(float, copy=False))
+
+
+def _step_tdma_nr(probs, u, carry):
+    # Counting step.  Device k (0-based) sends when the slots since the
     # last failure number k mod N, so a failure-free run of L slots collects
     # at its N-th, 2N-th, ... slot, L // N times, each with reset age N.  A
     # draw below min(p) fails and one at or above max(p) succeeds whatever
@@ -241,123 +258,105 @@ def _run_tdma_nr(probs, horizon: int, rng) -> tuple[np.ndarray, np.ndarray]:
     # open run's length mod N.
     n = len(probs)
     lo, hi = min(probs), max(probs)
-    ends = []      # collection end slots, one int array per chunk
-    run = 0        # failure-free slots just before `base`, mod N
-    base = 0       # slot index of u[0]
-    for u in _draws(rng, horizon):
-        maybe = np.flatnonzero(u < hi)    # the draws that may fail
-        v = u[maybe]
-        fail = v < lo
-        # the failure-free stretches lie between consecutive bounds (the
-        # first one extends back over the carried run); dep[r] is the r-th
-        # device-dependent draw's place in maybe, and dep[r] - r the
-        # stretch it lies in
+    run = carry or 0      # failure-free slots just before u[0], mod N
+    maybe = np.flatnonzero(u < hi)    # the draws that may fail
+    v = u[maybe]
+    fail = v < lo
+    # the failure-free stretches lie between consecutive bounds (the first
+    # one extends back over the carried run); dep[r] is the r-th
+    # device-dependent draw's place in maybe, and dep[r] - r the stretch
+    # it lies in
+    bounds = np.concatenate(([-1 - run], maybe[fail], [u.size]))
+    dep = np.flatnonzero(~fail)
+    k = dep - np.arange(dep.size)
+    wide = np.diff(bounds) > n
+    wide[-1] = True
+    keep = wide[k]
+    dep, prev = dep[keep], bounds[k[keep]]
+    last = -1 - run     # latest failure so far
+    failed = []
+    for i, x, f in zip(maybe[dep].tolist(), v[dep].tolist(), prev.tolist()):
+        if f > last:
+            last = f
+        if x < probs[(i - last - 1) % n]:
+            failed.append(i)
+            last = i
+    if failed:
+        fail[np.searchsorted(maybe, failed)] = True
         bounds = np.concatenate(([-1 - run], maybe[fail], [u.size]))
-        dep = np.flatnonzero(~fail)
-        k = dep - np.arange(dep.size)
-        wide = np.diff(bounds) > n
-        wide[-1] = True
-        keep = wide[k]
-        dep, prev = dep[keep], bounds[k[keep]]
-        last = -1 - run     # latest failure so far
-        failed = []
-        for i, x, f in zip(maybe[dep].tolist(), v[dep].tolist(), prev.tolist()):
-            if f > last:
-                last = f
-            if x < probs[(i - last - 1) % n]:
-                failed.append(i)
-                last = i
-        if failed:
-            fail[np.searchsorted(maybe, failed)] = True
-            bounds = np.concatenate(([-1 - run], maybe[fail], [u.size]))
-        gaps = np.diff(bounds) - 1      # failure-free run lengths
-        count = gaps // n
-        runs = np.flatnonzero(count)
-        c = count[runs]
-        # run r collects at bounds[r] + 1 + N * m for m = 1 .. count[r]
-        first = bounds[runs] + (1 + n + base) - n * (np.cumsum(c) - c)
-        ends.append(np.repeat(first, c) + n * np.arange(int(c.sum())))
-        run = int(gaps[-1] % n)
-        base += u.size
-    times = np.concatenate(ends).astype(float)
-    return times, np.full(times.size, float(n))
+    gaps = np.diff(bounds) - 1      # failure-free run lengths
+    count = gaps // n
+    runs = np.flatnonzero(count)
+    c = count[runs]
+    # run r collects at bounds[r] + 1 + N * m for m = 1 .. count[r]
+    first = bounds[runs] + (1 + n) - n * (np.cumsum(c) - c)
+    ends = np.repeat(first, c) + n * np.arange(int(c.sum()))
+    return ends, np.full(ends.size, float(n)), int(gaps[-1] % n)
 
 
-def _run_tdma_r(probs, horizon: int, rng) -> tuple[np.ndarray, np.ndarray]:
-    # Counting kernel.  Device k (0-based) sends when the successes since
-    # the last collection number k, so the sender of a slot is the count of
+def _step_tdma_r(probs, u, carry):
+    # Counting step.  Device k (0-based) sends when the successes since the
+    # last collection number k, so the sender of a slot is the count of
     # earlier successes mod N.  Every N-th success ends a cycle, which
     # collects one slot later; the cycle's first success, device 1's, is
     # its generation slot, and the reset age is end - generation slot.  A
     # draw at or above max(p) succeeds and one below min(p) fails whatever
     # the device, so a Python loop visits only the device-dependent draws
     # in between, counting the successes before each.  The carry is the
-    # count of the cycle in progress and its generation slot.
+    # count of the cycle in progress and its generation slot, counted from
+    # the next chunk's first slot.
     n = len(probs)
     lo, hi = min(probs), max(probs)
     twice = tuple(probs) * 2    # twice[k + j] is p[(k + j) % N] for k, j < N
-    ends = []      # collection end slots, one int array per chunk
-    gens = []      # their cycles' generation slots
-    count = 0      # successes of the cycle in progress at `base`
-    gen = 0        # its generation slot, once count > 0
-    base = 0       # slot index of u[0]
-    for u in _draws(rng, horizon):
-        ok = u >= hi
-        maybe = np.flatnonzero(~ok)     # the draws that may fail
-        v = u[maybe]
-        dep = np.flatnonzero(v >= lo)
-        # slot i, the dep[r]-th draw of maybe, has i - dep[r] sure successes
-        # before it, and `extra` dependent ones mod N
-        slots = maybe[dep]
-        won = []
-        extra = 0
-        for i, x, b in zip(slots.tolist(), v[dep].tolist(),
-                           ((slots - dep + count) % n).tolist()):
-            if x >= twice[b + extra]:
-                won.append(i)
-                extra = extra + 1 if extra < n - 1 else 0
-        ok[won] = True
-        # success j is success (count + j) % N of its cycle: the cycle's
-        # last at N - 1, its generation slot at 0 (or carried in)
-        s = np.flatnonzero(ok) + base
-        e = s[n - 1 - count::n]
-        g = s[(n - count) % n::n]
-        if count:
-            g = np.concatenate(([gen], g))
-        ends.append(e + 1)
-        gens.append(g[:e.size])
-        count = (count + s.size) % n
-        if 0 < count <= s.size:     # the open cycle began in this chunk
-            gen = int(s[s.size - count])
-        base += u.size
-    times = np.concatenate(ends).astype(float)
-    return times, times - np.concatenate(gens)
+    count, gen = carry or (0, 0)
+    ok = u >= hi
+    maybe = np.flatnonzero(~ok)     # the draws that may fail
+    v = u[maybe]
+    dep = np.flatnonzero(v >= lo)
+    # slot i, the dep[r]-th draw of maybe, has i - dep[r] sure successes
+    # before it, and `extra` dependent ones mod N
+    slots = maybe[dep]
+    won = []
+    extra = 0
+    for i, x, b in zip(slots.tolist(), v[dep].tolist(),
+                       ((slots - dep + count) % n).tolist()):
+        if x >= twice[b + extra]:
+            won.append(i)
+            extra = extra + 1 if extra < n - 1 else 0
+    ok[won] = True
+    # success j is success (count + j) % N of its cycle: the cycle's last
+    # at N - 1, its generation slot at 0 (or carried in)
+    s = np.flatnonzero(ok)
+    e = s[n - 1 - count::n] + 1
+    g = s[(n - count) % n::n]
+    if count:
+        g = np.concatenate(([gen], g))
+    ages = e - g[:e.size]
+    count = (count + s.size) % n
+    if 0 < count <= s.size:     # the open cycle began in this chunk
+        gen = int(s[s.size - count])
+    return e, ages, (count, gen - u.size)
 
 
-def _run_fdma(probs, horizon: int, rng) -> tuple[np.ndarray, np.ndarray]:
+def _step_fdma(probs, u, carry):
     n = len(probs)
     p = np.array(probs)
-    hits = []
-    done = 0
-    for chunk in _draws(rng, horizon * n, n):
-        u = chunk.reshape(-1, n)   # row-major: device draws in slot order
-        if n < _FDMA_ROWS:
-            # all() over a short last axis is slow in numpy; reduce a
-            # device-major copy over its leading axis instead
-            ok = np.greater_equal(u.T, p[:, None], order="C").all(axis=0)
-        else:
-            ok = (u >= p).all(axis=1)
-        hits.append(np.flatnonzero(ok) + (done + 1))
-        done += len(u)
-    times = np.concatenate(hits).astype(float)
-    return times, np.ones(times.size)
+    u = u.reshape(-1, n)   # row-major: device draws in slot order
+    if n < _FDMA_ROWS:
+        # all() over a short last axis is slow in numpy; reduce a
+        # device-major copy over its leading axis instead
+        ok = np.greater_equal(u.T, p[:, None], order="C").all(axis=0)
+    else:
+        ok = (u >= p).all(axis=1)
+    ends = np.flatnonzero(ok) + 1
+    return ends, np.ones(ends.size), None
 
 
-# scheme -> (kernel, trace unit): TDMA counts slots, FDMA counts rounds
+# scheme -> (step, trace unit): TDMA counts slots, FDMA rounds of N draws
 _KERNELS = {
-    SchemeKind.TDMA_NR: (_run_tdma_nr, "slots"),
-    SchemeKind.TDMA_R: (_run_tdma_r, "slots"),
-    SchemeKind.FDMA: (_run_fdma, "rounds"),
+    SchemeKind.TDMA_NR: (_step_tdma_nr, "slots"),
+    SchemeKind.TDMA_R: (_step_tdma_r, "slots"),
+    SchemeKind.FDMA: (_step_fdma, "rounds"),
 }
 
 

@@ -224,6 +224,18 @@ class TestTdmaRMoments:
         for _ in range(300):
             _assert_matches_reference(SchemeKind.TDMA_R, _random_per(rng).probs)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 17, 60, 257, 3000])
+    def test_suffix_sums_equal_fsum(self, n):
+        # every T_i is the correctly rounded sum of a[i:], bit for bit,
+        # with exact zeros, tiny PERs and PERs a hair below 1 mixed in
+        rng = np.random.default_rng(n)
+        probs = rng.uniform(0.0, 0.9, n)
+        edges = rng.choice([0.0, 1e-12, 1.0 - 2.0 ** -40], n)
+        probs = np.where(rng.random(n) < 0.3, edges, probs).tolist()
+        a = [1.0 / (1.0 - pi) for pi in probs]
+        want = tuple(math.fsum(a[i:]) for i in range(n))
+        assert tdma_r_moments(make_per_vector(probs)).first == want
+
     def test_permutation_invariance_is_exact(self):
         rng = np.random.default_rng(16)
         for _ in range(100):

@@ -401,6 +401,18 @@ class TestHorizonFlag:
         assert (code, out, err) == (2, "", "aockit: --horizon must be >= 1, got 0\n")
 
 
+class TestSeedFlag:
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--scheme", "fdma", "--p", "0.1"],
+        ["sweep", "--p", "0.1,0.2"],
+    ], ids=["simulate", "sweep"])
+    def test_names_the_flag(self, capsys, argv, seed):
+        code, out, err = _run(capsys, argv + ["--seed", seed])
+        assert (code, out) == (2, "")
+        assert err == f"aockit: --seed must be a 64-bit unsigned integer, got {seed}\n"
+
+
 class TestSimulate:
     def test_zero_loss_exact(self, capsys):
         code, out, _ = _run(capsys, ["simulate", "--scheme", "tdma-nr",
@@ -438,9 +450,9 @@ class TestSimulate:
 
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
     def test_out_of_memory_names_the_horizon(self, capsys, monkeypatch, command):
-        def kernel(probs, horizon, rng):
+        def step(probs, u, carry):
             raise MemoryError
-        monkeypatch.setitem(sim._KERNELS, SchemeKind.FDMA, (kernel, "rounds"))
+        monkeypatch.setitem(sim._KERNELS, SchemeKind.FDMA, (step, "rounds"))
         argv = [command, "--p", "0", "--horizon", "100000000"]
         if command == "simulate":
             argv += ["--scheme", "fdma"]

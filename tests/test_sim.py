@@ -105,22 +105,22 @@ def _fdma_reference(probs, u):
     return hit, np.ones(hit.size)
 
 
-_KERNELS = {
-    SchemeKind.TDMA_NR: (sim._run_tdma_nr, _tdma_nr_reference),
-    SchemeKind.TDMA_R: (sim._run_tdma_r, _tdma_r_reference),
-    SchemeKind.FDMA: (sim._run_fdma, _fdma_reference),
+_REFERENCES = {
+    SchemeKind.TDMA_NR: _tdma_nr_reference,
+    SchemeKind.TDMA_R: _tdma_r_reference,
+    SchemeKind.FDMA: _fdma_reference,
 }
 
 
 def _reference_trace(scheme, probs, horizon, seed):
     n = len(probs) if scheme is SchemeKind.FDMA else None
-    return _KERNELS[scheme][1](probs, _draws(seed, horizon, n))
+    return _REFERENCES[scheme](probs, _draws(seed, horizon, n))
 
 
 def _kernel_trace(scheme, probs, horizon, seed):
+    # the scheme's step run by the chunk driver, without simulate()'s checks
     rng = np.random.Generator(np.random.PCG64(seed))
-    times, ages = _KERNELS[scheme][0](probs, horizon, rng)
-    return np.asarray(times, dtype=float), np.asarray(ages, dtype=float)
+    return sim._run_kernel(*sim._KERNELS[scheme], probs, horizon, rng)
 
 
 def _chunk_units(scheme, n):
@@ -521,3 +521,87 @@ class TestPrefixStability:
             assert want_times.size > 0
             assert np.array_equal(times[keep], want_times)
             assert np.array_equal(ages[keep], want_ages)
+
+
+def _geometric_pmf(q, top):
+    # P(G = k) for k = 0..top, G the slots up to the first success, each
+    # slot succeeding with probability q
+    return np.concatenate(([0.0], q * (1.0 - q) ** np.arange(top)))
+
+
+def _sum_pmf(qs, top):
+    # the law of a sum of independent geometrics, exact up to top
+    pmf = np.zeros(top + 1)
+    pmf[0] = 1.0
+    for q in qs:
+        pmf = np.convolve(pmf, _geometric_pmf(q, top))[:top + 1]
+    return pmf
+
+
+def _run_of_n_pmf(probs, top):
+    # P(D = t) for t = 0..top, D the slot that completes N successes in a
+    # row, the m-th slot of a run sent by device m and a failure restarting
+    # at device 1: one pass over the N states per slot
+    p = np.array(probs)
+    q = 1.0 - p
+    state = np.zeros(p.size)    # P(device j sends next, no collection yet)
+    state[0] = 1.0
+    pmf = np.zeros(top + 1)
+    for t in range(1, top + 1):
+        pmf[t] = state[-1] * q[-1]
+        state = np.concatenate(([state @ p], state[:-1] * q[:-1]))
+    return pmf
+
+
+def _dkw_ratio(samples, pmf, alpha):
+    # sup |F_m - F| over the integers, as a share of the DKW bound eps with
+    # P(sup > eps) <= 2 exp(-2 m eps^2) = alpha for m i.i.d. samples; both
+    # CDFs are flat between integers, and past max(samples) the gap only
+    # narrows, so 0..max(samples) is every point that can attain the sup
+    top = int(samples.max())
+    emp = np.cumsum(np.bincount(samples, minlength=top + 1)) / samples.size
+    eps = math.sqrt(math.log(2.0 / alpha) / (2.0 * samples.size))
+    return float(np.max(np.abs(emp - np.cumsum(pmf[:top + 1])))) / eps
+
+
+class TestRenewalLaw:
+    """Each scheme's renewal intervals follow the exact law of the paper's
+    chain, which the per-slot reference loops do not check: they read the
+    model as the kernels do.  With D the interval length and A the reset
+    age that ends it (q_k = 1 - p_k):
+
+      FDMA     A = 1 and D ~ Geom(prod q_k);
+      TDMA-R   D = G_1 + ... + G_N with G_k ~ Geom(q_k) independent,
+               D - A + 1 = G_1 and A - 1 = G_2 + ... + G_N;
+      TDMA-NR  A = N and D is the hitting time of a run of N successes.
+
+    Intervals are i.i.d., so the DKW inequality (Massart's constant) bounds
+    each empirical CDF's distance from the exact one.  A case's false-alarm
+    probability is at most _ALPHA, split evenly over its statistics."""
+
+    _ALPHA = 1e-6
+
+    @pytest.mark.parametrize("n", [1, 2, 6, 10, 11, 16, 17, 31, 32, 48])
+    @pytest.mark.parametrize("scheme", list(SchemeKind), ids=lambda k: k.token)
+    def test_intervals_follow_the_law(self, scheme, n):
+        probs = tuple(float(x) for x in
+                      np.random.default_rng(500 + n).uniform(0.0, min(0.5, 1.5 / n), n))
+        horizon = 20_000 if scheme is SchemeKind.FDMA else 40_000
+        trace = simulate(SimConfig(scheme, make_per_vector(probs), horizon, 77 * n)).trace
+        d = trace.gaps.astype(int)
+        a = trace.ages[1:].astype(int)
+        q = [1.0 - x for x in probs]
+        if scheme is SchemeKind.FDMA:
+            assert np.all(a == 1)
+            checks = [(d, _geometric_pmf(math.prod(q), int(d.max())))]
+        elif scheme is SchemeKind.TDMA_NR:
+            assert np.all(a == n)
+            checks = [(d, _run_of_n_pmf(probs, int(d.max())))]
+        else:
+            g1, rest = d - a + 1, a - 1
+            checks = [(d, _sum_pmf(q, int(d.max()))),
+                      (g1, _geometric_pmf(q[0], int(g1.max()))),
+                      (rest, _sum_pmf(q[1:], int(rest.max())))]
+        assert d.size >= 200
+        ratios = [_dkw_ratio(x, pmf, self._ALPHA / len(checks)) for x, pmf in checks]
+        assert max(ratios) <= 1.0, ratios
