@@ -22,7 +22,8 @@ and each chain has them in closed form; no linear system is solved:
   (Feller, Vol. I, XIII.7).  Over the prefix products
   P_m = (1 - p_1)...(1 - p_m) its average is N + 1/2 + W/A + B/Q, with
   A = sum_{m<N} P_m, W = sum_{m<N} m P_m, B = A - N Q and Q = P_N: sums of
-  positive terms, taken with C-level iteration and math.fsum.
+  positive terms, taken with C-level iteration and math.fsum.  The mean
+  from each later device is two suffix sums of the same P_m.
 * FDMA completes a round with probability gamma = prod(1 - p_i), so its
   inter-collection time is geometric.
 
@@ -110,9 +111,10 @@ def _in_range(value: float, n: int) -> float:
     return value
 
 
-def _tdma_nr_sums(probs) -> tuple[float, float, float, float]:
+def _tdma_nr_sums(probs) -> tuple[float, float, float, float, list]:
     """A, W, B and Q of the TDMA-NR chain (tdma_nr_moments), each times
-    _SCALE, so the quotients W/A and B/Q are those of the plain sums.
+    _SCALE, so the quotients W/A and B/Q are those of the plain sums, and
+    the prefix products P_0..P_{N-1} they are summed from, times _SCALE.
 
     The prefix products come from one accumulate() and each sum from
     math.fsum over a map(), so no Python loop runs per device, and the bits
@@ -136,24 +138,7 @@ def _tdma_nr_sums(probs) -> tuple[float, float, float, float]:
         s_b = s_a - n * q
     else:
         s_b = math.fsum(map(mul, map(mul, probs, count(1)), prefix))
-    return s_a, s_w, s_b, q
-
-
-def _tdma_nr_passes(probs) -> tuple[list, list]:
-    """Backward passes over s_i = 1 - p_i for the TDMA-NR chain.
-
-    Returns lists a, r (with a trailing 0.0 for state N + 1) of the A_i
-    and R_i of tdma_nr_moments, so that T_i = a_i + r_i T_1.
-    """
-    n = len(probs)
-    a = [0.0] * (n + 1)
-    r = [0.0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        pi = probs[i]
-        si = 1.0 - pi
-        a[i] = 1.0 + si * a[i + 1]
-        r[i] = pi + si * r[i + 1]
-    return a, r
+    return s_a, s_w, s_b, q, prefix
 
 
 def tdma_nr_moments(p: PerVector) -> HittingMoments:
@@ -165,41 +150,40 @@ def tdma_nr_moments(p: PerVector) -> HittingMoments:
 
         T_i = 1 + p_i T_1 + s_i T_{i+1},    T_{N+1} = 0.
 
-    Substituting T_i = A_i + R_i T_1 splits this into two recursions over
-    positive terms, solved backwards from A_{N+1} = R_{N+1} = 0:
+    Over the prefix products P_m = s_1...s_m (P_0 = 1), a run from state i
+    reaches state m + 1 with probability P_m / P_{i-1} and fails there with
+    probability p_{m+1}, so unrolling the recursion gives
 
-        A_i = 1 + s_i A_{i+1},    R_i = p_i + s_i R_{i+1} = 1 - Q_i,
+        P_{i-1} T_i = sum_{m=i-1}^{N-1} P_m + T_1 sum_{k=i}^{N} p_k P_{k-1}.
 
-    with Q_i = s_i...s_N.  At i = 1 this gives T_1 = A_1 / Q_1.  The second
-    moments satisfy the same recursion with right-hand side
+    At i = 1 the second sum telescopes to 1 - Q, Q = P_N, because
+    p_k P_{k-1} = P_{k-1} - P_k; with A = sum_{m<N} P_m this gives
+    T_1 = A / Q = N + B / Q, where B = A - N Q = sum_{k<=N} k p_k P_{k-1}.
+    The second moments satisfy the same recursion with right-hand side
+    1 + 2 (p_i T_1 + s_i T_{i+1}) = 2 T_i - 1, and the same unrolling with
+    sum_{m<N} P_m T_{m+1} = A + W + B T_1, W = sum_{m<N} m P_m, gives
 
-        r_i = 1 + 2 (p_i T_1 + s_i T_{i+1})
-            = 1 + 2 s_i A_{i+1} + 2 R_i T_1,
+        E[T_1^2] = (A + 2 W + 2 B T_1) / Q.
 
-    so E[T_1^2] = (U_1 + V_1 T_1) / Q_1, where U_i = 1 + 2 s_i A_{i+1}
-    + s_i U_{i+1} and V_i = 2 R_i + s_i V_{i+1}.  Unrolled from state 1
-    over the prefix products P_m = s_1...s_m (P_0 = 1), these are sums:
-
-        A_1 = A = sum_{m<N} P_m,        Q_1 = Q = P_N,
-        U_1 = A + 2 W,                  W = sum_{m<N} m P_m,
-        V_1 = 2 (A - N Q) = 2 B,        B = sum_{k<=N} k p_k P_{k-1},
-
-    where B telescopes because p_k P_{k-1} = P_{k-1} - P_k.  So
-    T_1 = A / Q = N + B / Q and E[T_1^2] = (A + 2 W + 2 B T_1) / Q, all
-    terms positive; the second form of T_1 keeps N exact where the PERs
-    are small.  The backward passes are kept only for T_2..T_N.  Raises
-    ValueError when the moments exceed float range.
+    All terms are positive.  The form N + B / Q keeps N exact where the
+    PERs are small (see _tdma_nr_sums), and T_2..T_N are two suffix sums
+    of the same prefix products, the second over p_k itself, so neither
+    cancels.  Raises ValueError when the moments exceed float range.
     """
     probs = p.probs
-    s_a, s_w, s_b, q = _tdma_nr_sums(probs)
+    s_a, s_w, s_b, q, prefix = _tdma_nr_sums(probs)
     t1 = p.n + _over(s_b, q)
     second_t1 = _over(s_a + 2.0 * s_w + 2.0 * s_b * t1, q)
     if not math.isfinite(second_t1):
         raise ValueError(
             f"tdma-nr: hitting-time moments exceed float range (N = {p.n})"
         )
-    a, r = _tdma_nr_passes(probs)
-    first = (t1, *(ai + ri * t1 for ai, ri in zip(a[1:-1], r[1:])))
+    # sums over m >= j of P_m and of p_{m+1} P_m, built from the right;
+    # the [-2::-1] slices run j = 1..N-1, the states 2..N
+    stays = list(accumulate(reversed(prefix)))
+    fails = list(accumulate(map(mul, reversed(probs), reversed(prefix))))
+    first = (t1, *((a + r * t1) / pm for a, r, pm
+                   in zip(stays[-2::-1], fails[-2::-1], prefix[1:])))
     return HittingMoments(first=first, second_t1=second_t1)
 
 
@@ -210,17 +194,17 @@ def tdma_nr_avg_aoc_slots(p: PerVector) -> float:
     N slots before completion, so the reset age is exactly N and
 
         avg = N + E[T_1^2] / (2 E[T_1])
-            = N + U_1 / (2 A_1) + V_1 / (2 Q_1)
+            = N + (A + 2 W + 2 B T_1) / (2 A)
             = N + 1/2 + W / A + B / Q
 
-    in the notation of tdma_nr_moments, by U_1 = A + 2 W and
-    V_1 = 2 (A - N Q) = 2 B; with B = A - N Q this is 1/2 + A/Q + W/A.
+    in the notation of tdma_nr_moments, by T_1 = A / Q; with B = A - N Q
+    this is 1/2 + A/Q + W/A.
     Every term is positive, and N stays exact where the PERs are small
     (see _tdma_nr_sums).  The sums take no per-device Python loop, and the
     third form divides by Q once, so it is finite whenever the average
     fits in a float64; beyond that it raises ValueError.
     """
-    s_a, s_w, s_b, q = _tdma_nr_sums(p.probs)
+    s_a, s_w, s_b, q, _ = _tdma_nr_sums(p.probs)
     avg = p.n + (0.5 + s_w / s_a) + _over(s_b, q)
     return _in_range(avg, p.n)
 

@@ -51,9 +51,9 @@ _PHY_FLAGS = {
     "num_devices": "--n",
 }
 
-# every field an error message may name -> the flag that sets it
+# every field or argument an error message may name -> the flag that sets it
 _FIELD_FLAGS = {**_PHY_FLAGS, "tdma_slot_ms": "--t-td", "fdma_round_ms": "--t-fd",
-                "horizon": "--horizon", "seed": "--seed"}
+                "horizon": "--horizon", "seed": "--seed", "modes": "--modes"}
 
 
 def _tokens(text: str, flag: str | None = None, sep: str = ",") -> list[str]:
@@ -91,15 +91,6 @@ def _parse_schemes(text: str | None) -> tuple[SchemeKind, ...]:
     return tuple(dict.fromkeys(
         scheme for token in tokens for scheme in SchemeKind.expand(token)
     ))
-
-
-def _parse_modes(text: str) -> tuple[str, ...]:
-    modes = tuple(_tokens(text, "--modes"))
-    for mode in modes:
-        if mode not in MODES:
-            raise ValueError(f"unknown --modes token {mode!r}, "
-                             f"expected one of {', '.join(MODES)}")
-    return modes
 
 
 def _inline_p(args) -> PerVector:
@@ -185,7 +176,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_sweep(args) -> int:
     table = _resolve_table(args)
     timing = _resolve_timing(args, table)
-    rows = run_sweep(table, timing, modes=_parse_modes(args.modes),
+    rows = run_sweep(table, timing, modes=tuple(_tokens(args.modes, "--modes")),
                      horizon=args.horizon, seed=args.seed)
     emit_rows(rows, args.out)
     return 0

@@ -224,9 +224,13 @@ def run_sweep(
     Rows come back sorted by (snr_db, scheme, mode).  An error raised
     while computing a row is re-raised prefixed with the row's key.
     """
-    mode_set = set(modes)
-    if not mode_set or not mode_set.issubset(MODES):
+    if not modes:
         raise ValueError(f"modes must be a non-empty subset of {MODES}, got {modes!r}")
+    for mode in modes:
+        if mode not in MODES:
+            raise ValueError(f"unknown modes token {mode!r}, "
+                             f"expected one of {', '.join(MODES)}")
+    mode_set = set(modes)
     _check_seed(seed)
     _check_horizon(horizon)
     rows: list[SweepRow] = []

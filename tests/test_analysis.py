@@ -425,6 +425,18 @@ def _r_closed_form_exact(probs):
     return 1 + t2 + second / (2 * t1)
 
 
+def _nr_first_exact(probs):
+    """T_1..T_N of TDMA-NR in exact Fractions, by the backward recursion
+    A_i = 1 + s_i A_{i+1}, R_i = p_i + s_i R_{i+1}, T_i = A_i + R_i T_1,
+    which shares no step with tdma_nr_moments' prefix-product form."""
+    a, r = [Fraction(0)], [Fraction(0)]
+    for pi in map(Fraction, reversed(probs)):
+        a.append(1 + (1 - pi) * a[-1])
+        r.append(pi + (1 - pi) * r[-1])
+    t1 = a[-1] / (1 - r[-1])
+    return [ai + ri * t1 for ai, ri in zip(a[:0:-1], r[:0:-1])]
+
+
 def _fdma_closed_form_exact(probs):
     """1 + (2 - gamma) / (2 gamma) (fdma_avg_aoc_rounds) in exact Fractions."""
     gamma = math.prod(1 - Fraction(pi) for pi in probs)
@@ -455,7 +467,8 @@ class TestUlpBound:
     quotient and a sum, 2N + 2 ulps; TDMA-R rounds each 1 / (1 - p_k) and
     its correctly rounded sums once, and its quotient and sum, 3 ulps.
     Measured worst on this grid: 35 ulps for TDMA-NR and 45 for FDMA, both
-    at N = 64, and 2.3 for TDMA-R.
+    at N = 64, and 2.3 for TDMA-R.  TDMA-NR's first moments T_1..T_N round
+    the same factors and products, and take the same bound.
     """
 
     @pytest.mark.parametrize("average, exact, bound", [
@@ -476,6 +489,31 @@ class TestUlpBound:
                     float(want)
                 continue
             assert _ulps(got, want) <= bound(p.n), probs
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_nr_first_moments_within_first_order_bound(self, seed):
+        # T_1..T_N under the averages' bound (worst measured: 42.6 ulps at
+        # N = 64); the moments' range error skips a vector
+        for probs in _ulp_grid(seed):
+            p = make_per_vector(probs)
+            try:
+                first = tdma_nr_moments(p).first
+            except ValueError as err:
+                assert "exceed float range" in str(err)
+                continue
+            for got, want in zip(first, _nr_first_exact(p.probs), strict=True):
+                assert _ulps(got, want) <= 2 * p.n + 2, probs
+
+    @pytest.mark.parametrize("probs", [
+        [1.0 - 1e-9] + [1e-12] * 7,
+        [0.99] + [1e-6] * 12,
+    ], ids=("p1-near-1", "p1-0.99"))
+    def test_nr_first_moments_after_a_lossy_first_device(self, probs):
+        # R_i T_1 with a huge T_1 and tiny later PERs: taking R_i as
+        # 1 - Q / P_{i-1} instead of from the p_k was 4.8e8 ulps off here
+        p = make_per_vector(probs)
+        for got, want in zip(tdma_nr_moments(p).first, _nr_first_exact(p.probs)):
+            assert _ulps(got, want) <= 2 * p.n + 2
 
 
 class TestFloatRange:
@@ -533,10 +571,53 @@ class TestAvgAocMs:
         avg = avg_aoc_ms(SchemeKind.FDMA, make_per_vector([0.0] * 6), timing)
         assert avg == pytest.approx(0.336, rel=REL)
 
+    def test_rejects_a_scheme_token(self):
+        timing = TimingModel(tdma_slot_ms=1.0, fdma_round_ms=1.0)
+        with pytest.raises(ValueError, match="^unknown scheme 'fdma'$"):
+            avg_aoc_ms("fdma", make_per_vector([0.1]), timing)
+
     def test_tdma_r_unit_slot(self):
         timing = TimingModel(tdma_slot_ms=1.0, fdma_round_ms=1.0)
         avg = avg_aoc_ms(SchemeKind.TDMA_R, make_per_vector([0.5, 0.5]), timing)
         assert avg == pytest.approx(5.5, rel=REL)
+
+
+def _pers(n_max):
+    """PER vectors of 1..n_max devices with exact zeros, PERs up to 0.9 and
+    a small-PER band."""
+    per = st.one_of(st.just(0.0), st.floats(0.0, 0.9), st.floats(0.0, 0.05))
+    return st.integers(1, n_max).flatmap(
+        lambda n: st.lists(per, min_size=n, max_size=n))
+
+
+class TestOrderingRules:
+    """The transmission order that minimizes each TDMA average, against an
+    exhaustive search; "least" is within REL of the minimum."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_pers(7))
+    @example([0.05, 0.1, 0.1, 0.1, 0.1, 0.2])
+    def test_tdma_r_highest_per_first(self, probs):
+        # only the first device matters: the rest enter through order-free
+        # fsum sums, so reordering devices 2..N keeps every bit
+        def avg(first, rest):
+            return tdma_r_avg_aoc_slots(make_per_vector([first, *rest]))
+
+        firsts = [avg(probs[j], probs[:j] + probs[j + 1:]) for j in range(len(probs))]
+        j = probs.index(max(probs))
+        rest = probs[:j] + probs[j + 1:]
+        assert firsts[j] <= min(firsts) * (1.0 + REL)
+        assert avg(probs[j], rest[::-1]) == firsts[j]
+
+    @settings(max_examples=200, deadline=None)
+    @given(_pers(6))
+    @example([0.05, 0.1, 0.1, 0.1, 0.1, 0.2])
+    @example([0.0, 0.6, 0.0, 0.0, 0.0])
+    def test_tdma_nr_descending_per(self, probs):
+        best = min(tdma_nr_avg_aoc_slots(make_per_vector(order))
+                   for order in set(itertools.permutations(probs)))
+        descending = make_per_vector(sorted(probs, reverse=True))
+        assert tdma_nr_avg_aoc_slots(descending) <= best * (1.0 + REL)
 
 
 class TestCrossSchemeProperties:

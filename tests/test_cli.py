@@ -292,6 +292,11 @@ class TestTimingFlags:
         assert (code, out) == (2, "")
         assert err == f"aockit: {flag} must be finite and > 0, got {shown}\n"
 
+    def test_idealized_excludes_t_fd(self, capsys):
+        code, out, err = _run(capsys, ["theory", "--p", "0.1", "--idealized", "--t-fd", "1"])
+        assert (code, out) == (2, "")
+        assert err == "aockit: --idealized and --t-fd are mutually exclusive\n"
+
     def test_idealized_round_overflow_names_the_flag(self, capsys):
         code, out, err = _run(capsys, ["theory", "--p", "0.1,0.1", "--t-td", "1e308",
                                        "--idealized"])
@@ -356,7 +361,8 @@ class TestListFlags:
     def test_unknown_modes_token_names_the_flag(self, capsys):
         code, out, err = _run(capsys, ["sweep", "--p", "0.1", "--modes", "theory,foo"])
         assert (code, out) == (2, "")
-        assert err.startswith("aockit: unknown --modes token 'foo'")
+        assert err == ("aockit: unknown --modes token 'foo', "
+                       "expected one of theory, simulation\n")
 
 
 class TestDeviceCountFlag:
@@ -434,6 +440,11 @@ class TestSimulate:
                                        "--order", "2,1"])
         assert (code, out) == (2, "")
         assert err == "aockit: --order applies to TDMA schemes only\n"
+
+    def test_unparsable_order_flag(self, capsys):
+        code, out, err = _run(capsys, ["simulate", "--scheme", "tdma-r", "--p", "0.1,0.2",
+                                       "--order", "1,x"])
+        assert (code, out, err) == (2, "", "aockit: invalid order '1,x'\n")
 
     def test_insufficient_collections(self, capsys):
         code, _, err = _run(capsys, ["simulate", "--scheme", "tdma-nr",

@@ -111,6 +111,15 @@ class TestAocTrace:
         with pytest.raises(ValueError):
             tr.times[0] = 0.0
 
+    def test_rejects_unequal_lengths(self):
+        with pytest.raises(ValueError,
+                           match="^times and ages must be 1-d arrays of equal length$"):
+            AocTrace(np.array([2.0, 4.0]), np.array([2.0]), "slots")
+
+    def test_rejects_infinite_time(self):
+        with pytest.raises(ValueError, match="^trace entries must be finite$"):
+            _trace([(2, 2), (math.inf, 2)])
+
     def test_rejects_unsorted_times(self):
         with pytest.raises(ValueError):
             _trace([(4, 2), (2, 2)])

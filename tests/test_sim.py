@@ -363,6 +363,16 @@ class TestErrors:
         with pytest.raises(ValueError):
             SimConfig(**base)
 
+    @pytest.mark.parametrize("kw, message", [
+        (dict(scheme="fdma"), "scheme must be a SchemeKind, got 'fdma'"),
+        (dict(p=(0.1,)), r"p must be a PerVector, got \(0.1,\)"),
+    ], ids=["scheme", "p"])
+    def test_config_types(self, kw, message):
+        base = dict(scheme=SchemeKind.FDMA, p=P_HALF, horizon=100, seed=0)
+        base.update(kw)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SimConfig(**base)
+
     def test_rng_name_is_read_only(self):
         res = simulate(SimConfig(SchemeKind.FDMA, P_HALF, 100, 0))
         assert res.rng_name == RNG_NAME == "PCG64"

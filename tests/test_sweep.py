@@ -115,6 +115,11 @@ class TestLoadPerTable:
         with pytest.raises(ValueError, match=r"per out of range \[0,1\) at line 3"):
             load_per_table(_write(tmp_path, text))
 
+    def test_infinite_snr_names_line(self, tmp_path):
+        text = "snr_db,scheme,device_id,per\ninf,fdma,1,0.1\n"
+        with pytest.raises(ValueError, match=r"^invalid snr_db 'inf' at line 2$"):
+            load_per_table(_write(tmp_path, text))
+
     def test_unknown_scheme_names_line(self, tmp_path):
         text = "snr_db,scheme,device_id,per\n10,csma,1,0.1\n"
         with pytest.raises(ValueError, match="unknown scheme token 'csma' at line 2"):
@@ -268,6 +273,12 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="modes"):
             run_sweep(table, UNIT, modes=modes, horizon=10, seed=0)
 
+    def test_names_the_first_unknown_mode_in_order(self):
+        table = single_point_table(make_per_vector([0.1]))
+        match = r"^unknown modes token 'zz', expected one of theory, simulation$"
+        with pytest.raises(ValueError, match=match):
+            run_sweep(table, UNIT, modes=("simulation", "zz", "aa"), horizon=10, seed=0)
+
     def test_propagates_insufficient_collections(self):
         table = single_point_table(make_per_vector([0.95] * 4))
         with pytest.raises(ValueError, match="insufficient collections"):
@@ -406,6 +417,10 @@ class TestDefaultOrderPatterns:
     def test_small_n_deduplicates(self):
         assert default_order_patterns(1) == [(1,)]
         assert default_order_patterns(2) == [(1, 2), (2, 1)]
+
+    def test_rejects_zero_devices(self):
+        with pytest.raises(ValueError, match=r"^n must be >= 1, got 0$"):
+            default_order_patterns(0)
 
     def test_patterns_are_permutations(self):
         for n in range(1, 9):
