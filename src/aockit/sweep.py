@@ -15,10 +15,9 @@ import math
 import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
+from decimal import Decimal
 from pathlib import Path
 from types import MappingProxyType
-
-import numpy as np
 
 from .analysis import avg_aoc_ms
 from .domain import PerVector, SchemeKind, TimingModel
@@ -103,6 +102,18 @@ class SweepRow:
             raise ValueError("theory rows carry ci_halfwidth_ms = 0 and seed = 0")
 
 
+def _field(text: str, field: str, line: int, convert, ok=lambda value: True):
+    """text converted by convert, if that succeeds and ok accepts the value;
+    otherwise a ValueError naming the field, the text and the line."""
+    try:
+        value = convert(text)
+        if ok(value):
+            return value
+    except ValueError:
+        pass
+    raise ValueError(f"invalid {field} {text!r} at line {line}")
+
+
 def load_per_table(path) -> PerTable:
     """Parse and validate a PER table from CSV.
 
@@ -126,30 +137,15 @@ def load_per_table(path) -> PerTable:
             if len(record) != 4:
                 raise ValueError(f"expected 4 fields at line {line}")
             snr_s, scheme_s, device_s, per_s = (s.strip() for s in record)
-            try:
-                snr = float(snr_s)
-            except ValueError:
-                raise ValueError(f"invalid snr_db {snr_s!r} at line {line}") from None
-            if not math.isfinite(snr):
-                raise ValueError(f"invalid snr_db {snr_s!r} at line {line}")
+            snr = _field(snr_s, "snr_db", line, float, math.isfinite)
             try:
                 schemes = SchemeKind.expand(scheme_s)
             except ValueError:
                 raise ValueError(
                     f"unknown scheme token {scheme_s!r} at line {line}"
                 ) from None
-            try:
-                device = int(device_s)
-            except ValueError:
-                raise ValueError(
-                    f"invalid device_id {device_s!r} at line {line}"
-                ) from None
-            if device < 1:
-                raise ValueError(f"invalid device_id {device_s!r} at line {line}")
-            try:
-                per = float(per_s)
-            except ValueError:
-                raise ValueError(f"invalid per {per_s!r} at line {line}") from None
+            device = _field(device_s, "device_id", line, int, lambda d: d >= 1)
+            per = _field(per_s, "per", line, float)
             if not (0.0 <= per < 1.0):
                 raise ValueError(f"per out of range [0,1) at line {line}")
             for scheme in schemes:
@@ -224,6 +220,8 @@ def run_sweep(
     Rows come back sorted by (snr_db, scheme, mode).  An error raised
     while computing a row is re-raised prefixed with the row's key.
     """
+    if isinstance(modes, str):
+        raise ValueError(f"modes must be a sequence of tokens, got the string {modes!r}")
     if not modes:
         raise ValueError(f"modes must be a non-empty subset of {MODES}, got {modes!r}")
     for mode in modes:
@@ -301,9 +299,10 @@ def default_order_patterns(n: int) -> list[tuple[int, ...]]:
 def _fmt(value: float) -> str:
     if not math.isfinite(value):
         return "inf" if value > 0 else "-inf"
-    return np.format_float_positional(
-        value, precision=6, unique=False, fractional=False, trim="0"
-    )
+    # .6g rounds the exact binary value half-to-even; Decimal prints it
+    # without an exponent
+    text = format(Decimal(f"{value:.6g}"), "f")
+    return text if "." in text else text + ".0"
 
 
 def emit_csv(header, records, dest=None) -> None:

@@ -78,8 +78,14 @@ def _chain_reference(scheme, probs):
 
 
 def _ulps(x, exact):
-    """|x - exact| in units in the last place of the float nearest exact."""
-    return abs(Fraction(x) - exact) / Fraction(math.ulp(float(exact)))
+    """|x - exact| in units in the last place of the float nearest exact.
+
+    exact is a Fraction or an integer pair (numerator, denominator); a pair
+    spares the gcd that a Fraction of 10^5-bit integers would cost."""
+    num, den = exact if isinstance(exact, tuple) else exact.as_integer_ratio()
+    a, b = float(x).as_integer_ratio()
+    c, d = math.ulp(num / den).as_integer_ratio()
+    return abs(a * den - num * b) * d / (b * den * c)
 
 
 _CLOSED_FORMS = {
@@ -403,26 +409,41 @@ class TestSmallPers:
         assert _ulps(mean, exact) <= 2 + n / 64
 
 
+def _survival_ints(probs):
+    """(E, [S_i]) with 1 - p_i = S_i / 2^E for every i, under one E.
+
+    Each float p_i is m / 2^k, so over the largest 2^k every survival
+    factor is an exact integer, and so is every product of them."""
+    ratios = [float(pi).as_integer_ratio() for pi in probs]
+    e = max(den.bit_length() - 1 for _, den in ratios)
+    return e, [(den - num) << (e - den.bit_length() + 1) for num, den in ratios]
+
+
 def _nr_closed_form_exact(probs):
-    """N + 1/2 + W/A + B/Q (tdma_nr_avg_aoc_slots) in exact Fractions."""
-    n = len(probs)
-    prefix = [Fraction(1)]
-    for pi in probs:
-        prefix.append(prefix[-1] * (1 - Fraction(pi)))
-    q = prefix.pop()
-    a = sum(prefix)
-    w = sum(m * pm for m, pm in enumerate(prefix))
-    return n + Fraction(1, 2) + w / a + (a - n * q) / q
+    """1/2 + W/A + A/Q (tdma_nr_avg_aoc_slots) as an exact integer ratio.
+
+    With the prefix products P_m = Pi_m / 2^(E m), A and W are integer sums
+    over 2^(E (N - 1)) and Q = Pi_N / 2^(E N), so the average is one
+    quotient of integers, which int / int rounds correctly."""
+    e, factors = _survival_ints(probs)
+    a = w = 0
+    prod = 1
+    for m, factor in enumerate(factors):
+        a = (a << e) + prod
+        w = (w << e) + m * prod
+        prod *= factor
+    return a * prod + 2 * w * prod + (a * a << (e + 1)), 2 * a * prod
 
 
 def _r_closed_form_exact(probs):
-    """1 + T_2 + E[T_1^2] / (2 T_1) (tdma_r_avg_aoc_slots) in exact Fractions."""
+    """1 + T_2 + E[T_1^2] / (2 T_1) (tdma_r_avg_aoc_slots) in exact Fractions,
+    as an integer ratio."""
     a = [1 / (1 - Fraction(pi)) for pi in probs]
     p1 = Fraction(probs[0])
     t1 = sum(a)
     t2 = t1 - a[0]
     second = (1 + p1) / (1 - p1) * t1 + t2 * t2 + sum(x * x for x in a[1:])
-    return 1 + t2 + second / (2 * t1)
+    return (1 + t2 + second / (2 * t1)).as_integer_ratio()
 
 
 def _nr_first_exact(probs):
@@ -438,20 +459,25 @@ def _nr_first_exact(probs):
 
 
 def _fdma_closed_form_exact(probs):
-    """1 + (2 - gamma) / (2 gamma) (fdma_avg_aoc_rounds) in exact Fractions."""
-    gamma = math.prod(1 - Fraction(pi) for pi in probs)
-    return 1 + (2 - gamma) / (2 * gamma)
+    """1 + (2 - gamma) / (2 gamma) (fdma_avg_aoc_rounds) as an exact integer
+    ratio: gamma = Pi_N / 2^(E N) makes it (2^(E N + 1) + Pi_N) / (2 Pi_N)."""
+    e, factors = _survival_ints(probs)
+    gamma = math.prod(factors)
+    return (1 << (e * len(factors) + 1)) + gamma, 2 * gamma
 
 
-# N and PER caps of the edge grid of CHANGES.md, up to N = 64
+# N and PER caps of the edge grid of CHANGES.md, up to N = 64; TDMA-NR and
+# FDMA, with integer references, also take N = 256 and 1000, where the float
+# error is largest
 _ULP_NS = (1, 2, 3, 4, 5, 8, 13, 32, 64)
+_ULP_LARGE_NS = _ULP_NS + (256, 1000)
 _ULP_CAPS = (1e-12, 1e-6, 0.01, 0.1, 0.3, 0.5, 0.9, 0.99, 1.0 - 1e-6, 1.0 - 1e-9)
 
 
-def _ulp_grid(seed):
+def _ulp_grid(seed, ns=_ULP_NS):
     """Equal, uniform and zero-mixed PER vectors for every N and cap."""
     rng = np.random.default_rng(seed)
-    for n, cap in itertools.product(_ULP_NS, _ULP_CAPS):
+    for n, cap in itertools.product(ns, _ULP_CAPS):
         keep = rng.random(n) < 0.5
         yield [cap] * n
         yield [float(x) for x in rng.uniform(0.0, cap, n)]
@@ -466,29 +492,30 @@ class TestUlpBound:
     FDMA round the N factors 1 - p_i and the N products of Q, then a
     quotient and a sum, 2N + 2 ulps; TDMA-R rounds each 1 / (1 - p_k) and
     its correctly rounded sums once, and its quotient and sum, 3 ulps.
-    Measured worst on this grid: 35 ulps for TDMA-NR and 45 for FDMA, both
-    at N = 64, and 2.3 for TDMA-R.  TDMA-NR's first moments T_1..T_N round
-    the same factors and products, and take the same bound.
+    Measured worst on this grid: 35 ulps for TDMA-NR and 45 for FDMA at
+    N = 64, 123 and 150 at N = 256, 432 and 520 at N = 1000, and 2.3 for
+    TDMA-R (N <= 64).  TDMA-NR's first moments T_1..T_N round the same
+    factors and products, and take the same bound.
     """
 
-    @pytest.mark.parametrize("average, exact, bound", [
-        (tdma_nr_avg_aoc_slots, _nr_closed_form_exact, lambda n: 2 * n + 2),
-        (tdma_r_avg_aoc_slots, _r_closed_form_exact, lambda n: 3),
-        (fdma_avg_aoc_rounds, _fdma_closed_form_exact, lambda n: 2 * n + 2),
+    @pytest.mark.parametrize("average, exact, bound, ns", [
+        (tdma_nr_avg_aoc_slots, _nr_closed_form_exact, lambda n: 2 * n + 2, _ULP_LARGE_NS),
+        (tdma_r_avg_aoc_slots, _r_closed_form_exact, lambda n: 3, _ULP_NS),
+        (fdma_avg_aoc_rounds, _fdma_closed_form_exact, lambda n: 2 * n + 2, _ULP_LARGE_NS),
     ], ids=("tdma-nr", "tdma-r", "fdma"))
     @pytest.mark.parametrize("seed", [1, 2])
-    def test_within_first_order_bound(self, average, exact, bound, seed):
-        for probs in _ulp_grid(seed):
+    def test_within_first_order_bound(self, average, exact, bound, ns, seed):
+        for probs in _ulp_grid(seed, ns):
             p = make_per_vector(probs)
-            want = exact(p.probs)
+            num, den = exact(p.probs)
             try:
                 got = average(p)
             except ValueError:
                 # a range error only where the exact average rounds to inf
                 with pytest.raises(OverflowError):
-                    float(want)
+                    num / den
                 continue
-            assert _ulps(got, want) <= bound(p.n), probs
+            assert _ulps(got, (num, den)) <= bound(p.n), probs
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_nr_first_moments_within_first_order_bound(self, seed):

@@ -22,7 +22,6 @@ def _imports_numpy(path: Path) -> bool:
     return False
 
 
-def test_only_the_simulator_and_the_csv_writer_import_numpy():
-    # sweep imports numpy only to format numbers (sweep._fmt)
+def test_only_the_simulator_imports_numpy():
     importers = {path.name for path in SRC.glob("*.py") if _imports_numpy(path)}
-    assert importers == {"sim.py", "sweep.py"}
+    assert importers == {"sim.py"}

@@ -1,8 +1,10 @@
 import io
 import itertools
 import math
+import sys
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from aockit.sweep import (
     PerTable,
     SweepRow,
     _derive_seed,
+    _fmt,
     default_order_patterns,
     emit_csv,
     emit_rows,
@@ -279,6 +282,13 @@ class TestRunSweep:
         with pytest.raises(ValueError, match=match):
             run_sweep(table, UNIT, modes=("simulation", "zz", "aa"), horizon=10, seed=0)
 
+    def test_rejects_a_bare_string(self):
+        # iterating "theory" would report the unknown token 't'
+        table = single_point_table(make_per_vector([0.1]))
+        match = r"^modes must be a sequence of tokens, got the string 'theory'$"
+        with pytest.raises(ValueError, match=match):
+            run_sweep(table, UNIT, modes="theory", horizon=10, seed=0)
+
     def test_propagates_insufficient_collections(self):
         table = single_point_table(make_per_vector([0.95] * 4))
         with pytest.raises(ValueError, match="insufficient collections"):
@@ -523,3 +533,28 @@ class TestEmitCsv:
         emit_csv(("q",), [(0.104,)], path)
         emit_csv(("q",), [(0.104,)])
         assert path.read_text(encoding="utf-8") == capsys.readouterr().out == "q\n0.104\n"
+
+
+class TestFmt:
+    def test_matches_numpy_positional(self):
+        # numpy's fixed-precision positional format is the reference the
+        # CSV bytes were first written with; sweep itself does not use numpy
+        rng = np.random.default_rng(6)
+        bits = rng.integers(0, 2**64, 9000, dtype=np.uint64).view(np.float64)
+        logs = 10.0 ** rng.uniform(-8.0, 12.0, 8000) * rng.choice([-1.0, 1.0], 8000)
+        # exact ties at the sixth digit: 7 significant digits ending in 5
+        ties = [
+            (1_000_005 + 10 * rng.integers(0, 900_000, 2000)) * 10.0 ** rng.integers(0, 9, 2000),
+            rng.integers(100_000, 1_000_000, 1000) + 0.5,
+            rng.integers(10_000, 100_000, 1000) + rng.choice([0.25, 0.75], 1000),
+            rng.integers(1_000, 10_000, 1000) + rng.choice([0.125, 0.375, 0.625, 0.875], 1000),
+        ]
+        edges = [0.0, -0.0, 5e-324, -5e-324, sys.float_info.max, -sys.float_info.max,
+                 math.inf, -math.inf]
+        values = [float(v) for v in itertools.chain(bits[np.isfinite(bits)], logs, *ties)]
+        values += edges
+        assert len(values) >= 20_000
+        for value in values:
+            want = np.format_float_positional(value, precision=6, unique=False,
+                                              fractional=False, trim="0")
+            assert _fmt(value) == want, value
