@@ -17,19 +17,19 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 from .domain import PerVector, SchemeKind, TimingModel, make_per_vector
+from .sim import SimConfig, simulate_ms
 from .sweep import (
     MODES,
     PerTable,
+    SweepRow,
     default_order_patterns,
     emit_csv,
     emit_rows,
     load_per_table,
     run_order_study,
     run_sweep,
-    simulation_row,
     single_point_table,
 )
 from .timing import PhyProfile, fdma_round_ms, idealized_timing
@@ -168,8 +168,9 @@ def _cmd_simulate(args) -> int:
         if scheme is SchemeKind.FDMA:
             raise ValueError("--order applies to TDMA schemes only")
         p = p.permuted(order)
-    row = simulation_row(0.0, scheme, p, timing, args.horizon, args.seed)
-    emit_rows([replace(row, order=order)], args.out)
+    result = simulate_ms(SimConfig(scheme, p, args.horizon, args.seed), timing)
+    emit_rows([SweepRow(0.0, scheme, "simulation", result.avg_aoc,
+                        result.ci_halfwidth, args.seed, order)], args.out)
     return 0
 
 

@@ -14,7 +14,7 @@ import hashlib
 import math
 import sys
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
 from types import MappingProxyType
@@ -33,8 +33,6 @@ __all__ = [
     "run_sweep",
     "run_order_study",
     "default_order_patterns",
-    "theory_row",
-    "simulation_row",
     "emit_csv",
     "emit_rows",
 ]
@@ -114,18 +112,34 @@ def _field(text: str, field: str, line: int, convert, ok=lambda value: True):
     raise ValueError(f"invalid {field} {text!r} at line {line}")
 
 
+def _records(path, fh):
+    """csv.reader's records of fh, with a malformed record or a byte that
+    is not UTF-8 raised as a ValueError naming the path."""
+    reader = csv.reader(fh)
+    while True:
+        try:
+            yield next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise ValueError(f"malformed CSV in {path} at line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path} is not UTF-8 text: {exc.reason}") from None
+
+
 def load_per_table(path) -> PerTable:
     """Parse and validate a PER table from CSV.
 
     Expected header: snr_db,scheme,device_id,per.  Scheme tokens are
     tdma-nr, tdma-r and fdma; the shorthand tdma applies one row to both
     TDMA schemes.  Every (snr_db, scheme) key must list devices 1..N once
-    each.  Parse errors and duplicate devices name the offending line; a
-    table without rows is an error too.
+    each.  Parse errors and duplicate devices name the offending line,
+    and a file that is not UTF-8 text names its path; a table without rows
+    is an error too.
     """
     grouped: dict[tuple[float, SchemeKind], dict[int, float]] = {}
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        reader = _records(path, fh)
         header = next(reader, None)
         if header is None or tuple(s.strip() for s in header) != _HEADER:
             raise ValueError(
@@ -182,28 +196,22 @@ def _derive_seed(master: int, *parts) -> int:
     return master ^ int.from_bytes(digest, "big")
 
 
-def theory_row(
-    snr_db: float,
-    scheme: SchemeKind,
-    p: PerVector,
-    timing: TimingModel,
-) -> SweepRow:
-    """Closed-form row for one key, with p in transmission order."""
-    return SweepRow(snr_db, scheme, "theory", avg_aoc_ms(scheme, p, timing), 0.0, 0)
-
-
-def simulation_row(
-    snr_db: float,
-    scheme: SchemeKind,
-    p: PerVector,
-    timing: TimingModel,
-    horizon: int,
-    seed: int,
-) -> SweepRow:
-    """One seeded simulation run as a row, with p in transmission order."""
-    result = simulate_ms(SimConfig(scheme, p, horizon, seed), timing)
-    return SweepRow(snr_db, scheme, "simulation", result.avg_aoc,
-                    result.ci_halfwidth, seed)
+def _rows(key, snr_db, scheme, p, timing, modes, horizon, seed, order=None):
+    """The key's theory and/or simulation rows, with p in transmission
+    order and the rows labelled with order; an error is re-raised
+    prefixed with the key."""
+    rows = []
+    try:
+        if "theory" in modes:
+            rows.append(SweepRow(snr_db, scheme, "theory",
+                                 avg_aoc_ms(scheme, p, timing), 0.0, 0, order))
+        if "simulation" in modes:
+            result = simulate_ms(SimConfig(scheme, p, horizon, seed), timing)
+            rows.append(SweepRow(snr_db, scheme, "simulation", result.avg_aoc,
+                                 result.ci_halfwidth, seed, order))
+    except ValueError as exc:
+        raise ValueError(f"({key}): {exc}") from exc
+    return rows
 
 
 def run_sweep(
@@ -228,20 +236,13 @@ def run_sweep(
         if mode not in MODES:
             raise ValueError(f"unknown modes token {mode!r}, "
                              f"expected one of {', '.join(MODES)}")
-    mode_set = set(modes)
     _check_seed(seed)
     _check_horizon(horizon)
     rows: list[SweepRow] = []
     for snr, scheme in table.keys():
-        p = table.vector(snr, scheme)
-        try:
-            if "theory" in mode_set:
-                rows.append(theory_row(snr, scheme, p, timing))
-            if "simulation" in mode_set:
-                run_seed = _derive_seed(seed, "sweep", repr(float(snr)), scheme.token)
-                rows.append(simulation_row(snr, scheme, p, timing, horizon, run_seed))
-        except ValueError as exc:
-            raise ValueError(f"({snr} dB, {scheme.token}): {exc}") from exc
+        run_seed = _derive_seed(seed, "sweep", repr(float(snr)), scheme.token)
+        rows += _rows(f"{snr} dB, {scheme.token}", snr, scheme, table.vector(snr, scheme),
+                      timing, modes, horizon, run_seed)
     rows.sort(key=lambda r: (r.snr_db, r.scheme.token, r.mode))
     return rows
 
@@ -272,16 +273,9 @@ def run_order_study(
         label = "-".join(map(str, order))
         seen = p.permuted(order)
         for scheme in (SchemeKind.TDMA_NR, SchemeKind.TDMA_R):
-            try:
-                row = theory_row(0.0, scheme, seen, timing)
-                rows.append(replace(row, order=order))
-                run_seed = _derive_seed(seed, "order", label, scheme.token)
-                row = simulation_row(0.0, scheme, seen, timing, horizon, run_seed)
-                rows.append(replace(row, order=order))
-            except ValueError as exc:
-                raise ValueError(
-                    f"(0.0 dB, {scheme.token}, order {label}): {exc}"
-                ) from exc
+            run_seed = _derive_seed(seed, "order", label, scheme.token)
+            rows += _rows(f"0.0 dB, {scheme.token}, order {label}", 0.0, scheme, seen,
+                          timing, MODES, horizon, run_seed, order)
     return rows
 
 

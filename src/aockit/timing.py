@@ -99,26 +99,42 @@ class PhyProfile:
         return replace(self, data_subcarriers=self.data_subcarriers // self.num_devices)
 
 
-def _packet_ms(phy: PhyProfile, payload_bits: int) -> float:
-    coded = payload_bits * phy.code_rate_inv
+def _finite_ms(ms: float, what: str, remedy: str) -> float:
+    # a duration past the float range names the fields that set it
+    if not math.isfinite(ms):
+        raise ValueError(f"{what} does not fit a float in ms: {remedy}")
+    return ms
+
+
+def _packet_ms(phy: PhyProfile, bits_field: str) -> float:
+    coded = getattr(phy, bits_field) * phy.code_rate_inv
     symbols = -(-coded // phy.data_subcarriers)   # ceil division
     samples = phy.preamble_samples + symbols * (phy.fft_size + phy.cp_samples)
-    return samples / phy.bandwidth_hz * 1000.0
+    try:
+        ms = samples / phy.bandwidth_hz * 1000.0
+        if math.isfinite(ms):
+            return ms
+        remedy = "raise bandwidth_hz or lower"
+    except OverflowError:       # samples, an int, is past the float range
+        remedy = "lower"
+    raise ValueError(f"the {bits_field} packet does not fit a float in ms: {remedy} "
+                     f"preamble_samples {bits_field} code_rate_inv fft_size or cp_samples")
 
 
 def status_duration_ms(phy: PhyProfile) -> float:
     """On-air time of one status packet in milliseconds."""
-    return _packet_ms(phy, phy.payload_bits)
+    return _packet_ms(phy, "payload_bits")
 
 
 def ack_duration_ms(phy: PhyProfile) -> float:
     """On-air time of one acknowledgement in milliseconds."""
-    return _packet_ms(phy, phy.ack_payload_bits)
+    return _packet_ms(phy, "ack_payload_bits")
 
 
 def tdma_slot_ms(phy: PhyProfile) -> float:
     """Duration of one TDMA slot: status, ACK and two guard intervals."""
-    return status_duration_ms(phy) + ack_duration_ms(phy) + 2.0 * phy.gi_ms
+    return _finite_ms(status_duration_ms(phy) + ack_duration_ms(phy) + 2.0 * phy.gi_ms,
+                      "the TDMA slot", "lower gi_ms or the packets")
 
 
 def fdma_round_ms(phy: PhyProfile) -> float:
@@ -127,7 +143,8 @@ def fdma_round_ms(phy: PhyProfile) -> float:
     Pass a profile whose data_subcarriers already reflect the per-device
     sub-channel (see PhyProfile.fdma_split).
     """
-    return status_duration_ms(phy) + phy.gi_ms
+    return _finite_ms(status_duration_ms(phy) + phy.gi_ms,
+                      "the FDMA round", "lower gi_ms or the status packet")
 
 
 def idealized_timing(n: int, t_td: float) -> TimingModel:

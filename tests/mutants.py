@@ -1,0 +1,158 @@
+"""Committed mutation checks: the tests must catch each listed bug.
+
+Each row of MUTANTS is a one-place edit of the package: a file, its exact
+old text, the new text, the pytest selection that must catch it, and why.
+The script copies the repository, without .git, to a temporary directory
+and runs every selection there once unmutated, where it must pass.  Then
+it applies each edit in turn, runs the mutant's selection with -x, and
+undoes the edit.  A mutant is killed when its selection fails.  Rows with
+survives=True are equivalent mutants, such as a fork that only changes
+speed; their selection must still pass, so a fork that becomes
+observable is flagged.  A mutant's old text must occur exactly once in
+its file, so a refactor that moves the text stops this script until the
+row is updated.
+
+    python tests/mutants.py
+
+Exit status 0 when every row behaves as listed, 1 otherwise.  The file
+name keeps it out of pytest's collection.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str            # relative to the repository root
+    old: str
+    new: str
+    selection: tuple[str, ...]
+    reason: str
+    survives: bool = False
+
+
+SIM = "src/aockit/sim.py"
+ANALYSIS = "src/aockit/analysis.py"
+SWEEP = "src/aockit/sweep.py"
+SWEEP_ROWS = ("tests/test_sweep.py::TestRunSweep", "tests/test_sweep.py::TestRunOrderStudy")
+
+MUTANTS = (
+    Mutant("TDMA-R ages +1", SIM,
+           "    ages = e - g[:e.size]\n",
+           "    ages = e - g[:e.size] + 1\n",
+           ("tests/test_sim.py::TestTraceProperties",),
+           "a lossless TDMA-R cycle resets the age to exactly N"),
+    Mutant("TDMA-NR reset age N - 1", SIM,
+           "np.full(ends.size, float(n))",
+           "np.full(ends.size, float(n - 1))",
+           ("tests/test_sim.py::TestTraceProperties",),
+           "every TDMA-NR collection resets the age to N"),
+    Mutant("TDMA-R carried generation slot off by one", SIM,
+           "(count, gen - u.size)",
+           "(count, gen - u.size + 1)",
+           ("tests/test_sim.py::TestDrawConvention::test_tdma_r_cycle_across_chunks",),
+           "a TDMA-R cycle that spans chunks keeps its generation slot"),
+    Mutant("_SCALE = 1.0", ANALYSIS,
+           "_SCALE = 2.0 ** 64\n",
+           "_SCALE = 1.0\n",
+           ("tests/test_analysis.py::TestSurvival",),
+           "a survival product below 2**-1022 loses bits without the scale"),
+    Mutant("plain B at every N", ANALYSIS,
+           "if n < _EXACT_EXCESS_N or 2.0 * n * q <= s_a:",
+           "if True:",
+           ("tests/test_analysis.py::TestSmallPers",),
+           "at many devices with tiny PERs, A - N Q loses the excess over N"),
+    Mutant("order dropped from simulation rows", SWEEP,
+           "result.ci_halfwidth, seed, order))",
+           "result.ci_halfwidth, seed))",
+           SWEEP_ROWS,
+           "both rows of an order study carry the order"),
+    Mutant("order-study seeds derived with the sweep tag", SWEEP,
+           '_derive_seed(seed, "order", label, scheme.token)',
+           '_derive_seed(seed, "sweep", label, scheme.token)',
+           SWEEP_ROWS,
+           "order-study seeds are their own stream"),
+    Mutant("row key prefix removed", SWEEP,
+           'raise ValueError(f"({key}): {exc}") from exc',
+           "raise",
+           SWEEP_ROWS,
+           "a row's error names its key"),
+    Mutant("FDMA row-wise test at every N", SIM,
+           "    if n < _FDMA_ROWS:\n",
+           "    if False:\n",
+           ("tests/test_sim.py", "tests/test_sim_golden.py"),
+           "the fork only chooses the faster of two equal success tests",
+           survives=True),
+)
+
+_SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",
+                               ".benchmarks", "*.egg-info")
+
+
+def _pytest(copy: Path, selection, env) -> tuple[int, float]:
+    # a fresh example database per run, so no run replays another's failures
+    shutil.rmtree(copy / ".hypothesis", ignore_errors=True)
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *selection],
+        cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    return proc.returncode, time.perf_counter() - start
+
+
+def main() -> int:
+    for m in MUTANTS:
+        found = (ROOT / m.path).read_text(encoding="utf-8").count(m.old)
+        if found != 1:
+            print(f"{m.name}: old text occurs {found} times in {m.path}, expected once")
+            return 1
+    ok = True
+    with tempfile.TemporaryDirectory(prefix="aockit-mutants-") as tmp:
+        copy = Path(tmp) / "repo"
+        shutil.copytree(ROOT, copy, ignore=_SKIP)
+        # the copy's package, not an installed one, and no stale bytecode
+        # when an edit keeps a file's size and mtime
+        env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+        where = subprocess.run([sys.executable, "-c", "import aockit; print(aockit.__file__)"],
+                               cwd=copy, env=env, capture_output=True, text=True)
+        if not where.stdout.startswith(str(copy)):
+            print(f"aockit imports from {where.stdout.strip() or where.stderr}, not the copy")
+            return 1
+        for selection in dict.fromkeys(m.selection for m in MUTANTS):
+            code, took = _pytest(copy, selection, env)
+            print(f"unmutated  {'pass' if code == 0 else 'FAIL'}  {took:5.1f} s  "
+                  f"{' '.join(selection)}")
+            ok &= code == 0
+        if not ok:
+            return 1
+        for m in MUTANTS:
+            target = copy / m.path
+            original = target.read_text(encoding="utf-8")
+            target.write_text(original.replace(m.old, m.new), encoding="utf-8")
+            try:
+                code, took = _pytest(copy, m.selection, env)
+            finally:
+                target.write_text(original, encoding="utf-8")
+            if m.survives:
+                verdict, good = ("survived", code == 0)
+            else:
+                verdict, good = ("killed", code == 1)
+            if not good:
+                verdict = f"UNEXPECTED (pytest exit {code})"
+            print(f"{verdict:9}  {took:5.1f} s  {m.name}: {m.reason}")
+            ok &= good
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

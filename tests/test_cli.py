@@ -111,6 +111,21 @@ class TestTiming:
         assert (code, out) == (2, "")
         assert err == f"aockit: {flag} {want}\n"
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--payload-bits", "9" * 401),
+        ("--preamble-samples", "9" * 401),
+        ("--cp-samples", "9" * 401),
+        ("--ack-payload-bits", "9" * 401),
+        ("--bandwidth-hz", "1e-320"),
+        ("--gi-ms", "1e308"),
+    ])
+    def test_duration_past_float_range_names_the_flag(self, capsys, flag, value):
+        # these exited 1 with an OverflowError, or 0 with inf cells
+        code, out, err = _run(capsys, ["timing", flag, value])
+        assert (code, out) == (2, "")
+        assert err.startswith("aockit: ") and err.count("\n") == 1
+        assert flag in err.split()
+
     def test_out_file(self, tmp_path, capsys):
         path = tmp_path / "t.csv"
         code, out, _ = _run(capsys, ["timing", "--out", str(path)])
@@ -165,6 +180,19 @@ class TestTheory:
         for argv in (["theory"], ["sweep", "--horizon", "100"]):
             code, out, err = _run(capsys, argv + ["--per-table", str(header_only)])
             assert (code, out, err) == (2, "", f"aockit: no PER rows in {header_only}\n")
+
+    @pytest.mark.parametrize("last,want", [
+        (b"1" * 131_073, "malformed CSV in {} at line 2: field larger than field "
+                         "limit (131072)"),
+        (b"\xff", "{} is not UTF-8 text: invalid start byte"),
+    ])
+    def test_unreadable_table_exits_2_naming_the_path(self, tmp_path, capsys,
+                                                       last, want):
+        path = tmp_path / "per.csv"
+        path.write_bytes(b"snr_db,scheme,device_id,per\n10,fdma,1," + last + b"\n")
+        code, out, err = _run(capsys, ["theory", "--per-table", str(path)])
+        assert (code, out) == (2, "")
+        assert err == f"aockit: {want.format(path)}\n"
 
     def test_tdma_filter_skips_the_fdma_split(self, tmp_path, capsys):
         # FDMA keys at N = 5 cannot be split, but --scheme tdma drops them

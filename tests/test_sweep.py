@@ -2,7 +2,6 @@ import io
 import itertools
 import math
 import sys
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aockit.domain import SchemeKind, TimingModel, make_per_vector
-from aockit.sim import SimConfig
+from aockit.analysis import avg_aoc_ms
+from aockit.sim import SimConfig, simulate_ms
 from aockit.sweep import (
     MODES,
     PerTable,
@@ -23,9 +23,7 @@ from aockit.sweep import (
     load_per_table,
     run_order_study,
     run_sweep,
-    simulation_row,
     single_point_table,
-    theory_row,
 )
 
 REF_TIMING = TimingModel(tdma_slot_ms=0.104, fdma_round_ms=0.224)
@@ -148,6 +146,22 @@ class TestLoadPerTable:
         text = "snr_db,scheme,device_id,per\n10,fdma,1\n"
         with pytest.raises(ValueError, match="expected 4 fields at line 2"):
             load_per_table(_write(tmp_path, text))
+
+    def test_oversized_field_names_path_and_line(self, tmp_path):
+        # csv.Error is not a ValueError; the reader turns it into one
+        text = "snr_db,scheme,device_id,per\n10,fdma,1," + "1" * 131_073 + "\n"
+        path = _write(tmp_path, text)
+        with pytest.raises(ValueError) as info:
+            load_per_table(path)
+        assert str(info.value) == (f"malformed CSV in {path} at line 2: "
+                                   "field larger than field limit (131072)")
+
+    def test_non_utf8_bytes_name_the_path(self, tmp_path):
+        path = tmp_path / "per.csv"
+        path.write_bytes(b"snr_db,scheme,device_id,per\n10,fdma,1,0.1\n\xff\n")
+        with pytest.raises(ValueError) as info:
+            load_per_table(path)
+        assert str(info.value) == f"{path} is not UTF-8 text: invalid start byte"
 
     @pytest.mark.parametrize("row,what", [
         ("abc,fdma,1,0.1", "snr_db"),
@@ -346,10 +360,12 @@ class TestRunOrderStudy:
             label = "-".join(map(str, order))
             for scheme in (SchemeKind.TDMA_NR, SchemeKind.TDMA_R):
                 run_seed = _derive_seed(2, "order", label, scheme.token)
+                result = simulate_ms(SimConfig(scheme, seen, 2_000, run_seed), UNIT)
                 want += [
-                    replace(theory_row(0.0, scheme, seen, UNIT), order=order),
-                    replace(simulation_row(0.0, scheme, seen, UNIT, 2_000, run_seed),
-                            order=order),
+                    SweepRow(0.0, scheme, "theory", avg_aoc_ms(scheme, seen, UNIT),
+                             0.0, 0, order),
+                    SweepRow(0.0, scheme, "simulation", result.avg_aoc,
+                             result.ci_halfwidth, run_seed, order),
                 ]
         assert rows == want
 

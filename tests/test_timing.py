@@ -151,3 +151,41 @@ class TestValidation:
     def test_profile_is_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
             PhyProfile().payload_bits = 128
+
+
+_HUGE = 10 ** 400   # an int past the float range
+_COUNTS = "preamble_samples {} code_rate_inv fft_size or cp_samples"
+
+
+class TestBeyondFloatRange:
+    """A duration that does not fit a float raises a ValueError naming the
+    fields that set it, never an OverflowError or an inf."""
+
+    @pytest.mark.parametrize("kw,call,want", [
+        (dict(payload_bits=_HUGE), status_duration_ms,
+         "the payload_bits packet does not fit a float in ms: lower "
+         + _COUNTS.format("payload_bits")),
+        (dict(preamble_samples=_HUGE), ack_duration_ms,
+         "the ack_payload_bits packet does not fit a float in ms: lower "
+         + _COUNTS.format("ack_payload_bits")),
+        (dict(cp_samples=_HUGE), tdma_slot_ms,
+         "the payload_bits packet does not fit a float in ms: lower "
+         + _COUNTS.format("payload_bits")),
+        (dict(bandwidth_hz=1e-320), fdma_round_ms,
+         "the payload_bits packet does not fit a float in ms: raise bandwidth_hz "
+         "or lower " + _COUNTS.format("payload_bits")),
+        (dict(gi_ms=1e308), tdma_slot_ms,
+         "the TDMA slot does not fit a float in ms: lower gi_ms or the packets"),
+        # a status packet of 1e308 ms (480 samples) plus a 1e308 ms guard
+        (dict(bandwidth_hz=480e3 / 1e308, gi_ms=1e308), fdma_round_ms,
+         "the FDMA round does not fit a float in ms: lower gi_ms or the status packet"),
+    ])
+    def test_names_the_fields(self, kw, call, want):
+        with pytest.raises(ValueError) as info:
+            call(PhyProfile(**kw))
+        assert str(info.value) == want
+
+    def test_long_finite_durations_stay(self):
+        assert tdma_slot_ms(PhyProfile(gi_ms=1e307)) == pytest.approx(2e307, rel=REL)
+        assert status_duration_ms(PhyProfile(bandwidth_hz=480e3 / 1e308)) == \
+            pytest.approx(1e308, rel=1e-9)
