@@ -9,8 +9,11 @@ Subcommands:
 
 theory and sweep read PER input from a CSV table (--per-table) or an
 inline vector (--p); simulate and orders take an inline vector only.
-All results are emitted as CSV on stdout or --out; exit code is 0 on
-success and nonzero with a one-line diagnostic on any error.
+The device count N is the length of each PER vector: only timing takes
+it as a flag (--n), to size its FDMA split.  theory runs as a sweep with
+--modes theory.  All results are emitted as CSV on stdout or --out; exit
+code is 0 on success and 2 on any error, usage errors included, with one
+`aockit: <message>` line on stderr.
 """
 
 from __future__ import annotations
@@ -34,8 +37,6 @@ from .sweep import (
 )
 from .timing import PhyProfile, fdma_round_ms, idealized_timing
 from .timing import ack_duration_ms, status_duration_ms, tdma_slot_ms
-
-_ALL_SCHEMES = tuple(SchemeKind)
 
 # PhyProfile field -> the `aockit timing` flag that overrides it
 _PHY_FLAGS = {
@@ -86,7 +87,7 @@ def _parse_orders(text: str) -> list[tuple[int, ...]]:
 
 def _parse_schemes(text: str | None) -> tuple[SchemeKind, ...]:
     if text is None:
-        return _ALL_SCHEMES
+        return tuple(SchemeKind)
     tokens = _tokens(text, "--scheme")
     return tuple(dict.fromkeys(
         scheme for token in tokens for scheme in SchemeKind.expand(token)
@@ -96,43 +97,34 @@ def _parse_schemes(text: str | None) -> tuple[SchemeKind, ...]:
 def _inline_p(args) -> PerVector:
     if args.p is None:
         raise ValueError("--p is required for this subcommand")
-    p = _parse_probs(args.p)
-    if args.n is not None and args.n != p.n:
-        raise ValueError(f"--n {args.n} does not match the {p.n} values in --p")
-    return p
+    return _parse_probs(args.p)
 
 
-def _resolve_table(args, schemes=_ALL_SCHEMES) -> PerTable:
+def _resolve_table(args) -> PerTable:
     """The run's table from --per-table or --p, keeping only the keys
-    under `schemes`; --n is checked against every key of the input."""
+    under --scheme (every key when it is None)."""
+    schemes = _parse_schemes(args.scheme)
     if args.per_table is not None and args.p is not None:
         raise ValueError("choose one of --per-table or --p")
-    if args.per_table is not None:
-        table = load_per_table(args.per_table)
-        counts = table.device_counts()
-        if args.n is not None and counts != [args.n]:
-            raise ValueError(
-                f"--n {args.n} does not match {args.per_table}: its keys have "
-                f"{', '.join(map(str, counts)) or 'no'} devices"
-            )
-    elif args.p is not None:
-        table = single_point_table(_inline_p(args))
-    else:
+    if args.p is not None:
+        return single_point_table(_parse_probs(args.p), schemes)
+    if args.per_table is None:
         raise ValueError("one of --per-table or --p is required")
-    table = PerTable({key: p for key, p in table.vectors.items() if key[1] in schemes})
+    vectors = load_per_table(args.per_table).vectors
+    table = PerTable({key: p for key, p in vectors.items() if key[1] in schemes})
     if not table.vectors:
         raise ValueError(f"--scheme {args.scheme} matches no key of {args.per_table}")
     return table
 
 
-def _resolve_timing(args, table) -> TimingModel:
+def _resolve_timing(args, counts) -> TimingModel:
     """The PHY profile's TDMA slot and its FDMA round for N devices, N
-    being the device count of the table's FDMA keys (the profile's own
-    when it has none), with the timing flags applied.  The round is split
-    from the profile only when no flag replaces it."""
+    being the one entry of `counts`, the device counts of the run's FDMA
+    rows (the profile's own N when there are none), with the timing flags
+    applied.  The round is split from the profile only when no flag
+    replaces it."""
     if args.idealized and args.t_fd is not None:
         raise ValueError("--idealized and --t-fd are mutually exclusive")
-    counts = table.device_counts((SchemeKind.FDMA,))
     if len(counts) > 1 and args.t_fd is None:
         raise ValueError(
             f"FDMA keys mix device counts {', '.join(map(str, counts))}; "
@@ -151,18 +143,10 @@ def _resolve_timing(args, table) -> TimingModel:
     return TimingModel(tdma_slot_ms=t_td, fdma_round_ms=fdma_round_ms(split))
 
 
-def _cmd_theory(args) -> int:
-    table = _resolve_table(args, schemes=_parse_schemes(args.scheme))
-    rows = run_sweep(table, _resolve_timing(args, table), modes=("theory",),
-                     horizon=1, seed=0)
-    emit_rows(rows, args.out)
-    return 0
-
-
 def _cmd_simulate(args) -> int:
     p = _inline_p(args)
     scheme = SchemeKind.from_token(args.scheme)
-    timing = _resolve_timing(args, single_point_table(p, schemes=(scheme,)))
+    timing = _resolve_timing(args, [p.n] if scheme is SchemeKind.FDMA else [])
     order = _parse_order(args.order) if args.order else None
     if order is not None:
         if scheme is SchemeKind.FDMA:
@@ -176,8 +160,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     table = _resolve_table(args)
-    timing = _resolve_timing(args, table)
-    rows = run_sweep(table, timing, modes=tuple(_tokens(args.modes, "--modes")),
+    timing = _resolve_timing(args, table.device_counts((SchemeKind.FDMA,)))
+    rows = run_sweep(table, timing, modes=_tokens(args.modes, "--modes"),
                      horizon=args.horizon, seed=args.seed)
     emit_rows(rows, args.out)
     return 0
@@ -186,7 +170,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_orders(args) -> int:
     p = _inline_p(args)
     orders = _parse_orders(args.orders) if args.orders else default_order_patterns(p.n)
-    timing = _resolve_timing(args, single_point_table(p, schemes=SchemeKind.expand("tdma")))
+    timing = _resolve_timing(args, [])
     rows = run_order_study(p, orders, timing, horizon=args.horizon, seed=args.seed)
     emit_rows(rows, args.out)
     return 0
@@ -224,8 +208,6 @@ def _add_input_flags(parser, per_table: bool) -> None:
                             help="CSV of per-device PERs keyed by snr_db and scheme")
     parser.add_argument("--p", metavar="LIST", default=None,
                         help="inline comma-separated PER vector, e.g. 0.1,0.2")
-    parser.add_argument("--n", type=int, default=None,
-                        help="device count; checked against the PER input")
 
 
 def _add_run_flags(parser) -> None:
@@ -235,8 +217,16 @@ def _add_run_flags(parser) -> None:
                         help="master seed, 64-bit unsigned")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors, like every other error, print one
+    `aockit: <message>` line; its subparsers share the class."""
+
+    def error(self, message):
+        self.exit(2, f"aockit: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="aockit",
         description="Average age-of-collection analysis for TDMA/FDMA status updates",
     )
@@ -248,7 +238,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="comma list of tdma-nr,tdma-r,fdma (or tdma)")
     _add_timing_flags(theory)
     theory.add_argument("--out", default=None, metavar="PATH")
-    theory.set_defaults(func=_cmd_theory)
+    theory.set_defaults(func=_cmd_sweep, modes="theory", horizon=1, seed=0)
 
     simulate = sub.add_parser("simulate", help="one seeded simulation run")
     simulate.add_argument("--scheme", required=True,
@@ -268,7 +258,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_run_flags(sweep)
     _add_timing_flags(sweep)
     sweep.add_argument("--out", default=None, metavar="PATH")
-    sweep.set_defaults(func=_cmd_sweep)
+    sweep.set_defaults(func=_cmd_sweep, scheme=None)
 
     orders = sub.add_parser("orders", help="transmission-order study (TDMA)")
     _add_input_flags(orders, per_table=False)

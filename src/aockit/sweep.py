@@ -113,12 +113,14 @@ def _field(text: str, field: str, line: int, convert, ok=lambda value: True):
 
 
 def _records(path, fh):
-    """csv.reader's records of fh, with a malformed record or a byte that
-    is not UTF-8 raised as a ValueError naming the path."""
+    """(file line, record) for csv.reader's records of fh, the line being
+    the record's last, with a malformed record or a byte that is not
+    UTF-8 raised as a ValueError naming the path."""
     reader = csv.reader(fh)
     while True:
         try:
-            yield next(reader)
+            record = next(reader)
+            yield reader.line_num, record
         except StopIteration:
             return
         except csv.Error as exc:
@@ -139,13 +141,13 @@ def load_per_table(path) -> PerTable:
     """
     grouped: dict[tuple[float, SchemeKind], dict[int, float]] = {}
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = _records(path, fh)
-        header = next(reader, None)
+        records = _records(path, fh)
+        _, header = next(records, (None, None))
         if header is None or tuple(s.strip() for s in header) != _HEADER:
             raise ValueError(
                 f"bad header in {path}: expected {','.join(_HEADER)}"
             )
-        for line, record in enumerate(reader, start=2):
+        for line, record in records:
             if not record or all(not s.strip() for s in record):
                 continue
             if len(record) != 4:
@@ -180,13 +182,9 @@ def load_per_table(path) -> PerTable:
     return PerTable(vectors)
 
 
-def single_point_table(
-    p: PerVector,
-    schemes=tuple(SchemeKind),
-    snr_db: float = 0.0,
-) -> PerTable:
-    """Table with one PerVector shared by the given schemes at one SNR."""
-    return PerTable({(snr_db, scheme): p for scheme in schemes})
+def single_point_table(p: PerVector, schemes=tuple(SchemeKind)) -> PerTable:
+    """Table with one PerVector shared by the given schemes at 0 dB."""
+    return PerTable({(0.0, scheme): p for scheme in schemes})
 
 
 def _derive_seed(master: int, *parts) -> int:
@@ -230,6 +228,7 @@ def run_sweep(
     """
     if isinstance(modes, str):
         raise ValueError(f"modes must be a sequence of tokens, got the string {modes!r}")
+    modes = tuple(modes)
     if not modes:
         raise ValueError(f"modes must be a non-empty subset of {MODES}, got {modes!r}")
     for mode in modes:

@@ -63,6 +63,22 @@ MUTANTS = (
            "(count, gen - u.size + 1)",
            ("tests/test_sim.py::TestDrawConvention::test_tdma_r_cycle_across_chunks",),
            "a TDMA-R cycle that spans chunks keeps its generation slot"),
+    Mutant("TDMA-R rows through the TDMA-NR step", SIM,
+           '    SchemeKind.TDMA_R: (_step_tdma_r, "slots"),\n',
+           '    SchemeKind.TDMA_R: (_step_tdma_nr, "slots"),\n',
+           ("tests/test_sim.py::TestTraceProperties",),
+           "a TDMA-R retransmission carries the reset age above N; TDMA-NR's is N"),
+    Mutant("_MIN_CYCLES = 20", SIM,
+           "_MIN_CYCLES = 200    #",
+           "_MIN_CYCLES = 20    #",
+           ("tests/test_sim.py::TestQuantile::test_floor_keeps_df_in_checked_range",),
+           "the quantile's expansion is checked from 20 degrees of freedom up"),
+    Mutant("normal quantile rounded to 1.96", SIM,
+           "    x = 1.959963984540054\n",
+           "    x = 1.96\n",
+           ("tests/test_sim_golden.py",),
+           "every finite half-width scales with the quantile; TestQuantile "
+           "compares it with scipy only where scipy is installed"),
     Mutant("_SCALE = 1.0", ANALYSIS,
            "_SCALE = 2.0 ** 64\n",
            "_SCALE = 1.0\n",
@@ -73,6 +89,17 @@ MUTANTS = (
            "if True:",
            ("tests/test_analysis.py::TestSmallPers",),
            "at many devices with tiny PERs, A - N Q loses the excess over N"),
+    Mutant("_over without its zero guard", ANALYSIS,
+           "    return x / q if q else math.inf\n",
+           "    return x / q\n",
+           ("tests/test_analysis.py::TestFloatRange", "tests/test_analysis.py::TestFdma"),
+           "an underflowed product is an average beyond float range, not a "
+           "ZeroDivisionError"),
+    Mutant("T_1 = A/Q", ANALYSIS,
+           "    t1 = p.n + _over(s_b, q)\n",
+           "    t1 = _over(s_a, q)\n",
+           ("tests/test_analysis.py::TestSmallPers",),
+           "T_1 = N + B/Q keeps the excess over N that A/Q rounds away"),
     Mutant("order dropped from simulation rows", SWEEP,
            "result.ci_halfwidth, seed, order))",
            "result.ci_halfwidth, seed))",
@@ -91,7 +118,7 @@ MUTANTS = (
     Mutant("FDMA row-wise test at every N", SIM,
            "    if n < _FDMA_ROWS:\n",
            "    if False:\n",
-           ("tests/test_sim.py", "tests/test_sim_golden.py"),
+           ("tests/test_sim.py", "tests/test_sim_golden.py", "-k", "fdma"),
            "the fork only chooses the faster of two equal success tests",
            survives=True),
 )

@@ -20,6 +20,7 @@ from aockit.analysis import (
     tdma_r_moments,
 )
 from aockit.domain import SchemeKind, TimingModel, make_per_vector
+from aockit.timing import default_timing
 
 REL = 1e-12
 
@@ -709,3 +710,27 @@ class TestCrossSchemeProperties:
             q = make_per_vector(bumped)
             for fn in fns:
                 assert fn(q) >= fn(p) * (1.0 - 1e-12)
+
+
+class TestPhyTimingCrossover:
+    """The model's form of the paper's experimental finding: with MAC
+    overhead, FDMA beats TDMA-R at low loss and loses at high loss.  Under
+    default_timing(N) and equal PERs, FDMA - TDMA-R in ms changes sign
+    exactly once on a 0.001 PER grid, FDMA being lower below the crossing."""
+
+    @pytest.mark.parametrize("n,crossing", [
+        (2, 0.633), (3, 0.441), (4, 0.339), (6, 0.232), (8, 0.177),
+        (12, 0.120), (16, 0.091), (24, 0.061), (48, 0.031),
+    ])
+    def test_one_sign_change(self, n, crossing):
+        timing = default_timing(n)
+        signs = []
+        for k in range(1000):
+            p = make_per_vector([k / 1000] * n)
+            diff = (avg_aoc_ms(SchemeKind.FDMA, p, timing)
+                    - avg_aoc_ms(SchemeKind.TDMA_R, p, timing))
+            assert diff != 0.0
+            signs.append(diff > 0.0)
+        first_higher = signs.index(True)
+        assert signs == [False] * first_higher + [True] * (1000 - first_higher)
+        assert first_higher / 1000 == crossing

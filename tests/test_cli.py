@@ -1,3 +1,4 @@
+import argparse
 import math
 import os
 import subprocess
@@ -8,7 +9,7 @@ import pytest
 
 from aockit import sim
 from aockit.analysis import tdma_nr_avg_aoc_slots
-from aockit.cli import main
+from aockit.cli import _build_parser, main
 from aockit.domain import SchemeKind, make_per_vector
 from aockit.timing import PhyProfile, tdma_slot_ms
 
@@ -228,11 +229,6 @@ class TestTheory:
         assert code == 2
         assert "choose one" in err
 
-    def test_n_mismatch(self, capsys):
-        code, _, err = _run(capsys, ["theory", "--p", "0.1,0.2", "--n", "3"])
-        assert code == 2
-        assert "--n" in err
-
     def test_many_devices_long_rounds(self, capsys):
         probs = [0.5] * 48
         code, out, err = _run(capsys, ["theory", "--p", ",".join(map(str, probs)),
@@ -393,22 +389,52 @@ class TestListFlags:
                        "expected one of theory, simulation\n")
 
 
-class TestDeviceCountFlag:
-    def test_checks_per_table(self, tmp_path, capsys):
-        path = tmp_path / "per.csv"
-        path.write_text(TABLE, encoding="utf-8")
-        code, _, err = _run(capsys, ["theory", "--per-table", str(path), "--n", "3"])
-        assert code == 2
-        assert err.startswith("aockit: --n 3 does not match") and "2 devices" in err
-        code, out, _ = _run(capsys, ["theory", "--per-table", str(path), "--n", "2"])
-        assert code == 0 and len(out.splitlines()) == 4
+class TestUsageErrors:
+    """argparse's usage errors print one `aockit: <message>` line, like
+    every other error, and exit 2."""
 
-    def test_names_every_count_of_a_mixed_table(self, tmp_path, capsys):
+    @pytest.mark.parametrize("argv,want", [
+        (["sweep", "--p", "0.1", "--horizon", "abc"],
+         "aockit: argument --horizon: invalid int value: 'abc'\n"),
+        (["theory", "--p", "0.1,0.2", "--n", "2"],
+         "aockit: unrecognized arguments: --n 2\n"),
+    ], ids=["bad-int", "n-outside-timing"])
+    def test_one_line(self, capsys, argv, want):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        captured = capsys.readouterr()
+        assert (info.value.code, captured.out, captured.err) == (2, "", want)
+
+    def test_bad_choice_names_the_flag(self, capsys):
+        # the choice list's quoting differs between Python versions
+        with pytest.raises(SystemExit) as info:
+            main(["simulate", "--scheme", "tdma", "--p", "0.1"])
+        err = capsys.readouterr().err
+        assert info.value.code == 2
+        assert err.startswith("aockit: argument --scheme: invalid choice: 'tdma'")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+
+class TestDeviceCount:
+    """N is the length of each PER vector; only timing takes it as a flag,
+    for the FDMA split."""
+
+    def test_n_is_a_timing_flag_only(self):
+        sub = next(a for a in _build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        with_n = [name for name, parser in sub.choices.items()
+                  if "--n" in parser._option_string_actions]
+        assert with_n == ["timing"]
+
+    def test_table_keys_keep_their_own_counts(self, tmp_path, capsys):
+        # TDMA keys at N = 2 and 1 run in one table; FDMA sets the round
         path = tmp_path / "per.csv"
-        path.write_text(TABLE + "12,fdma,1,0.1\n", encoding="utf-8")
-        code, _, err = _run(capsys, ["sweep", "--per-table", str(path), "--n", "2"])
-        assert code == 2
-        assert "1, 2 devices" in err
+        path.write_text(TABLE + "12,tdma,1,0.1\n", encoding="utf-8")
+        code, out, err = _run(capsys, ["theory", "--per-table", str(path)])
+        assert (code, err) == (0, "")
+        assert [row.split(",")[:2] for row in out.splitlines()[1:]] == [
+            ["10.0", "fdma"], ["10.0", "tdma-nr"], ["10.0", "tdma-r"],
+            ["12.0", "tdma-nr"], ["12.0", "tdma-r"]]
 
 
 class TestInputFlags:

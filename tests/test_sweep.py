@@ -174,6 +174,12 @@ class TestLoadPerTable:
         with pytest.raises(ValueError, match=f"invalid {what}.*at line 2"):
             load_per_table(_write(tmp_path, text))
 
+    def test_line_after_a_multi_line_record_is_the_file_line(self, tmp_path):
+        # the quoted snr_db of the first record spans lines 2 and 3
+        text = 'snr_db,scheme,device_id,per\n"10\n",fdma,1,0.1\n10,fdma,2,low\n'
+        with pytest.raises(ValueError, match=r"^invalid per 'low' at line 4$"):
+            load_per_table(_write(tmp_path, text))
+
 
 # scheme columns one SNR may carry: the shorthand tdma stands in for both
 # TDMA schemes, so it never appears beside tdma-nr or tdma-r
@@ -267,7 +273,7 @@ class TestRunSweep:
     def test_seed_isolation_between_keys(self):
         # adding another key must not perturb an existing key's rows
         p = make_per_vector([0.3, 0.3])
-        small = single_point_table(p, schemes=(SchemeKind.FDMA,), snr_db=4.0)
+        small = PerTable({(4.0, SchemeKind.FDMA): p})
         big = PerTable({**small.vectors, (8.0, SchemeKind.FDMA): p})
         rows_small = run_sweep(small, UNIT, horizon=20_000, seed=7)
         rows_big = run_sweep(big, UNIT, horizon=20_000, seed=7)
@@ -303,14 +309,19 @@ class TestRunSweep:
         with pytest.raises(ValueError, match=match):
             run_sweep(table, UNIT, modes="theory", horizon=10, seed=0)
 
+    def test_takes_modes_from_an_iterator(self):
+        table = single_point_table(make_per_vector([0.2, 0.2]))
+        rows = run_sweep(table, UNIT, modes=iter(["theory"]), horizon=10, seed=0)
+        assert rows == run_sweep(table, UNIT, modes=("theory",), horizon=10, seed=0)
+        assert len(rows) == 3
+
     def test_propagates_insufficient_collections(self):
         table = single_point_table(make_per_vector([0.95] * 4))
         with pytest.raises(ValueError, match="insufficient collections"):
             run_sweep(table, UNIT, horizon=20, seed=0)
 
     def test_error_names_its_row(self):
-        table = single_point_table(make_per_vector([0.95] * 4),
-                                   schemes=(SchemeKind.TDMA_NR,), snr_db=5.0)
+        table = PerTable({(5.0, SchemeKind.TDMA_NR): make_per_vector([0.95] * 4)})
         with pytest.raises(ValueError) as info:
             run_sweep(table, UNIT, horizon=20, seed=0)
         assert str(info.value) == \
