@@ -203,6 +203,22 @@ def tdma_nr_avg_aoc_slots(p: PerVector) -> float:
     (see _tdma_nr_sums).  The sums take no per-device Python loop, and the
     third form divides by Q once, so it is finite whenever the average
     fits in a float64; beyond that it raises ValueError.
+
+    Descending PER minimizes the average, by an exchange argument.  Q does
+    not depend on the order, and exchanging the devices at positions k and
+    k + 1 changes only P_k = P_{k-1} (1 - p_k), so A and W move by x and
+    k x with x the change in P_k, and
+
+        d avg / d P_k = 1/Q + (k A - W) / A^2,
+
+    which is positive: since Q <= P_j for every j,
+    Q (W - k A) <= sum_{m>k} P_m sum_{j=k}^{m-1} P_j <= sum_{j<m} P_j P_m
+    < A^2, and this holds all along the exchange, as P_k stays between
+    P_{k+1} and P_{k-1}.  So putting the higher PER of an adjacent pair
+    first lowers P_k and the average, strictly when the PERs differ, and
+    adjacent exchanges sort any order into the descending one.  The proof
+    is of the exact average, not of its rounding; TestOrderingRules checks
+    the rule against an exhaustive search over orders.
     """
     s_a, s_w, s_b, q, _ = _tdma_nr_sums(p.probs)
     avg = p.n + (0.5 + s_w / s_a) + _over(s_b, q)
@@ -263,6 +279,18 @@ def tdma_r_avg_aoc_slots(p: PerVector) -> float:
     mean reset age is 1 + T_2 and
 
         avg = 1 + T_2 + E[T_1^2] / (2 E[T_1]).
+
+    The highest PER first minimizes the average, by an exchange argument.
+    T_1 = sum_k a_k does not depend on the order, and with T_2 = T_1 - a_1
+    neither does E[T_1^2] = T_1^2 - T_1 + sum_k a_k^2, so
+
+        avg = 1 + T_1 - a_1 + (T_1^2 - T_1 + sum_k a_k^2) / (2 T_1),
+
+    and exchanging device 1 with device j changes the exact average by
+    a_1 - a_j and nothing else.  The largest a_1, the highest PER, is
+    least, and the order of devices 2..N does not matter (the fsum sums
+    keep every bit under it).  TestOrderingRules checks the rule against
+    an exhaustive search over the first device.
     """
     _, t1, t2, second_t1 = _tdma_r_terms(p.probs)
     return 1.0 + t2 + second_t1 / (2.0 * t1)

@@ -35,7 +35,7 @@ from .sweep import (
     run_sweep,
     single_point_table,
 )
-from .timing import PhyProfile, fdma_round_ms, idealized_timing
+from .timing import PhyProfile, default_timing, fdma_round_ms, idealized_timing
 from .timing import ack_duration_ms, status_duration_ms, tdma_slot_ms
 
 # PhyProfile field -> the `aockit timing` flag that overrides it
@@ -94,22 +94,12 @@ def _parse_schemes(text: str | None) -> tuple[SchemeKind, ...]:
     ))
 
 
-def _inline_p(args) -> PerVector:
-    if args.p is None:
-        raise ValueError("--p is required for this subcommand")
-    return _parse_probs(args.p)
-
-
 def _resolve_table(args) -> PerTable:
     """The run's table from --per-table or --p, keeping only the keys
     under --scheme (every key when it is None)."""
     schemes = _parse_schemes(args.scheme)
-    if args.per_table is not None and args.p is not None:
-        raise ValueError("choose one of --per-table or --p")
     if args.p is not None:
         return single_point_table(_parse_probs(args.p), schemes)
-    if args.per_table is None:
-        raise ValueError("one of --per-table or --p is required")
     vectors = load_per_table(args.per_table).vectors
     table = PerTable({key: p for key, p in vectors.items() if key[1] in schemes})
     if not table.vectors:
@@ -118,33 +108,30 @@ def _resolve_table(args) -> PerTable:
 
 
 def _resolve_timing(args, counts) -> TimingModel:
-    """The PHY profile's TDMA slot and its FDMA round for N devices, N
-    being the one entry of `counts`, the device counts of the run's FDMA
-    rows (the profile's own N when there are none), with the timing flags
-    applied.  The round is split from the profile only when no flag
-    replaces it."""
-    if args.idealized and args.t_fd is not None:
-        raise ValueError("--idealized and --t-fd are mutually exclusive")
+    """The run's timing, `counts` being the device counts of its FDMA rows.
+    The slot is the PHY profile's unless --t-td is given, and the round is
+    --t-fd, N slots under --idealized, or else default_timing(N)'s, N
+    being the one entry of `counts` (the profile's own N when there is
+    none)."""
     if len(counts) > 1 and args.t_fd is None:
-        raise ValueError(
-            f"FDMA keys mix device counts {', '.join(map(str, counts))}; "
-            "the FDMA round needs one (or give --t-fd)"
-        )
-    phy = PhyProfile(num_devices=counts[0]) if counts else PhyProfile()
-    t_td = tdma_slot_ms(phy) if args.t_td is None else args.t_td
+        remedy = "give --t-fd in place of --idealized" if args.idealized else "or give --t-fd"
+        raise ValueError(f"FDMA keys mix device counts {', '.join(map(str, counts))}; "
+                         f"the FDMA round needs one ({remedy})")
+    n = counts[0] if counts else PhyProfile.num_devices
+    t_td = tdma_slot_ms(PhyProfile()) if args.t_td is None else args.t_td
     if args.idealized:
-        return idealized_timing(phy.num_devices, t_td)
+        return idealized_timing(n, t_td)
     if args.t_fd is not None:
         return TimingModel(tdma_slot_ms=t_td, fdma_round_ms=args.t_fd)
     try:
-        split = phy.fdma_split()
+        t_fd = default_timing(n).fdma_round_ms
     except ValueError as exc:
         raise ValueError(f"{exc} (or give --t-fd)") from None
-    return TimingModel(tdma_slot_ms=t_td, fdma_round_ms=fdma_round_ms(split))
+    return TimingModel(tdma_slot_ms=t_td, fdma_round_ms=t_fd)
 
 
 def _cmd_simulate(args) -> int:
-    p = _inline_p(args)
+    p = _parse_probs(args.p)
     scheme = SchemeKind.from_token(args.scheme)
     timing = _resolve_timing(args, [p.n] if scheme is SchemeKind.FDMA else [])
     order = _parse_order(args.order) if args.order else None
@@ -168,7 +155,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_orders(args) -> int:
-    p = _inline_p(args)
+    p = _parse_probs(args.p)
     orders = _parse_orders(args.orders) if args.orders else default_order_patterns(p.n)
     timing = _resolve_timing(args, [])
     rows = run_order_study(p, orders, timing, horizon=args.horizon, seed=args.seed)
@@ -195,18 +182,21 @@ def _add_timing_flags(parser) -> None:
     parser.add_argument("--t-td", type=float, default=None, metavar="MS",
                         help="TDMA slot duration in ms (default: the PHY profile's, "
                              "see aockit timing)")
-    parser.add_argument("--t-fd", type=float, default=None, metavar="MS",
-                        help="FDMA round duration in ms (default: the PHY profile's "
-                             "round for the run's N devices, see aockit timing --n N)")
-    parser.add_argument("--idealized", action="store_true",
-                        help="set the FDMA round to N TDMA slots (overhead-free)")
+    round_flags = parser.add_mutually_exclusive_group()
+    round_flags.add_argument("--t-fd", type=float, default=None, metavar="MS",
+                             help="FDMA round duration in ms (default: the PHY profile's "
+                                  "round for the run's N devices, see aockit timing --n N)")
+    round_flags.add_argument("--idealized", action="store_true",
+                             help="set the FDMA round to N TDMA slots (overhead-free)")
 
 
 def _add_input_flags(parser, per_table: bool) -> None:
+    # theory and sweep take exactly one of the two inputs, the others --p
+    inputs = parser.add_mutually_exclusive_group(required=True) if per_table else parser
     if per_table:
-        parser.add_argument("--per-table", metavar="PATH", default=None,
+        inputs.add_argument("--per-table", metavar="PATH", default=None,
                             help="CSV of per-device PERs keyed by snr_db and scheme")
-    parser.add_argument("--p", metavar="LIST", default=None,
+    inputs.add_argument("--p", metavar="LIST", default=None, required=not per_table,
                         help="inline comma-separated PER vector, e.g. 0.1,0.2")
 
 

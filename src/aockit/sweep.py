@@ -291,7 +291,7 @@ def default_order_patterns(n: int) -> list[tuple[int, ...]]:
 
 def _fmt(value: float) -> str:
     if not math.isfinite(value):
-        return "inf" if value > 0 else "-inf"
+        return "nan" if math.isnan(value) else "inf" if value > 0 else "-inf"
     # .6g rounds the exact binary value half-to-even; Decimal prints it
     # without an exponent
     text = format(Decimal(f"{value:.6g}"), "f")

@@ -79,6 +79,17 @@ MUTANTS = (
            ("tests/test_sim_golden.py",),
            "every finite half-width scales with the quantile; TestQuantile "
            "compares it with scipy only where scipy is installed"),
+    Mutant("quantile's fourth term dropped", SIM,
+           "(g3 + g4 / df)",
+           "(g3 + 0.0)",
+           ("tests/test_sim_golden.py",),
+           "the four-term expansion is pinned to the bit in every finite half-width"),
+    Mutant("CI lag-1 term dropped", SIM,
+           '    s = s0 + 2.0 * float(np.einsum("i,i", z[:-1], z[1:]))\n',
+           "    s = s0\n",
+           ("tests/test_sim.py::TestCoverage",),
+           "successive cycle residuals are correlated, and the interval must "
+           "count that to cover"),
     Mutant("_SCALE = 1.0", ANALYSIS,
            "_SCALE = 2.0 ** 64\n",
            "_SCALE = 1.0\n",
@@ -100,6 +111,19 @@ MUTANTS = (
            "    t1 = _over(s_a, q)\n",
            ("tests/test_analysis.py::TestSmallPers",),
            "T_1 = N + B/Q keeps the excess over N that A/Q rounds away"),
+    Mutant("E[T_1^2] off by a relative 2**-40", ANALYSIS,
+           "    second_t1 = _over(s_a + 2.0 * s_w + 2.0 * s_b * t1, q)\n",
+           "    second_t1 = _over(s_a + 2.0 * s_w + 2.0 * s_b * t1, q) * (1.0 + 2.0 ** -40)\n",
+           ("tests/test_analysis.py::TestTdmaNrMoments",),
+           "at zero loss E[T_1^2] = N^2 exactly, and test_zero_loss pins it to "
+           "the bit"),
+    Mutant("R_i = 1 - Q/P_{i-1}", ANALYSIS,
+           "    fails = list(accumulate(map(mul, reversed(probs), reversed(prefix))))\n",
+           "    fails = [pm - q for pm in reversed(prefix)]\n",
+           ("tests/test_analysis.py::TestUlpBound::"
+            "test_nr_first_moments_after_a_lossy_first_device",),
+           "after a lossy first device, P_{i-1} - Q cancels; the sum of p_k P_{k-1} "
+           "does not"),
     Mutant("order dropped from simulation rows", SWEEP,
            "result.ci_halfwidth, seed, order))",
            "result.ci_halfwidth, seed))",

@@ -66,7 +66,11 @@ SWEEP_GOLDEN = {
 
 
 def _run(capsys, argv):
-    code = main(argv)
+    # a usage error leaves the parser by SystemExit; its code is the exit code
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -219,7 +223,7 @@ class TestTheory:
     def test_requires_input(self, capsys):
         code, _, err = _run(capsys, ["theory"])
         assert code == 2
-        assert "aockit:" in err
+        assert err == "aockit: one of the arguments --per-table --p is required\n"
 
     def test_rejects_both_inputs(self, tmp_path, capsys):
         path = tmp_path / "per.csv"
@@ -227,7 +231,7 @@ class TestTheory:
         code, _, err = _run(capsys, ["theory", "--per-table", str(path),
                                      "--p", "0.1"])
         assert code == 2
-        assert "choose one" in err
+        assert err == "aockit: argument --p: not allowed with argument --per-table\n"
 
     def test_many_devices_long_rounds(self, capsys):
         probs = [0.5] * 48
@@ -253,6 +257,10 @@ class TestTimingFlags:
     device count of the run's FDMA rows."""
 
     FIVE = ",".join(["0.1"] * 5)
+    # FDMA keys with 2 and 3 devices
+    MIXED = ("snr_db,scheme,device_id,per\n"
+             "10,fdma,1,0.1\n10,fdma,2,0.1\n"
+             "12,fdma,1,0.1\n12,fdma,2,0.1\n12,fdma,3,0.1\n")
 
     def test_fdma_round_follows_device_count(self, capsys):
         code, out, _ = _run(capsys, ["timing", "--n", "4"])
@@ -295,15 +303,21 @@ class TestTimingFlags:
 
     def test_mixed_fdma_device_counts(self, tmp_path, capsys):
         path = tmp_path / "per.csv"
-        path.write_text("snr_db,scheme,device_id,per\n"
-                        "10,fdma,1,0.1\n10,fdma,2,0.1\n"
-                        "12,fdma,1,0.1\n12,fdma,2,0.1\n12,fdma,3,0.1\n",
-                        encoding="utf-8")
+        path.write_text(self.MIXED, encoding="utf-8")
         code, _, err = _run(capsys, ["theory", "--per-table", str(path)])
         assert code == 2
         assert "FDMA keys mix device counts 2, 3" in err
         code, _, err = _run(capsys, ["theory", "--per-table", str(path), "--t-fd", "0.2"])
         assert code == 0 and err == ""
+
+    def test_mixed_counts_under_idealized_name_an_accepted_remedy(self, tmp_path, capsys):
+        # --t-fd is not allowed beside --idealized, so it replaces it
+        path = tmp_path / "per.csv"
+        path.write_text(self.MIXED, encoding="utf-8")
+        code, out, err = _run(capsys, ["theory", "--per-table", str(path), "--idealized"])
+        assert (code, out) == (2, "")
+        assert err == ("aockit: FDMA keys mix device counts 2, 3; the FDMA round needs "
+                       "one (give --t-fd in place of --idealized)\n")
 
     @pytest.mark.parametrize("flag,value,shown", [
         ("--t-td", "0", "0.0"),
@@ -319,7 +333,7 @@ class TestTimingFlags:
     def test_idealized_excludes_t_fd(self, capsys):
         code, out, err = _run(capsys, ["theory", "--p", "0.1", "--idealized", "--t-fd", "1"])
         assert (code, out) == (2, "")
-        assert err == "aockit: --idealized and --t-fd are mutually exclusive\n"
+        assert err == "aockit: argument --t-fd: not allowed with argument --idealized\n"
 
     def test_idealized_round_overflow_names_the_flag(self, capsys):
         code, out, err = _run(capsys, ["theory", "--p", "0.1,0.1", "--t-td", "1e308",
@@ -527,7 +541,7 @@ class TestSimulate:
     def test_requires_p(self, capsys):
         code, _, err = _run(capsys, ["simulate", "--scheme", "fdma"])
         assert code == 2
-        assert "--p" in err
+        assert err == "aockit: the following arguments are required: --p\n"
 
 
 class TestSweep:

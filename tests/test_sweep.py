@@ -577,7 +577,7 @@ class TestFmt:
             rng.integers(1_000, 10_000, 1000) + rng.choice([0.125, 0.375, 0.625, 0.875], 1000),
         ]
         edges = [0.0, -0.0, 5e-324, -5e-324, sys.float_info.max, -sys.float_info.max,
-                 math.inf, -math.inf]
+                 math.inf, -math.inf, math.nan]
         values = [float(v) for v in itertools.chain(bits[np.isfinite(bits)], logs, *ties)]
         values += edges
         assert len(values) >= 20_000
